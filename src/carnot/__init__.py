@@ -5,8 +5,8 @@ The layers, bottom up:
 * ``algebra``: structure-constant graded Lie algebras and verification.
 * ``group``: exact truncated BCH arithmetic in exponential coordinates.
 * ``metric``: certified two-sided Carnot-Caratheodory distance bounds.
-* ``measure``: Monte-Carlo ball volumes and dimension fits.
-* ``derivate``: derivates of Lipschitz distances, boxes, the spread.
+* ``measure``: Monte-Carlo ball volumes, dimension fits, End/Box samplers.
+* ``derivate``: derivates of Lipschitz distances, the spread.
 * ``divergence``: geodesic-pair divergence versus model spaces.
 * ``cli``: the ``carnot`` command.
 """

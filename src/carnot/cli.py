@@ -41,23 +41,6 @@ from .metric import (
     estimate_distance,
 )
 
-THREADS_ENV = "CARNOT_THREADS"
-
-
-def _apply_threads(threads):
-    """Cap worker threads; BLAS pools read these at first use."""
-    if threads is None:
-        threads = os.environ.get(THREADS_ENV)
-    if threads is None:
-        return 0
-    threads = int(threads)
-    if threads < 1:
-        raise InputError("thread cap must be >= 1")
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, str(threads))
-    return threads
-
-
 def load_group(source) -> CCSpace:
     """Resolve a built-in name or a JSON definition file into a CCSpace."""
     if os.path.sep in str(source) or str(source).endswith(".json"):
@@ -261,7 +244,7 @@ def _pick_distance(space, name, bb, seed):
     if name == "cc":
         return derivate_lab.cc_distance(space, ballbox=bb, seed=seed)
     if name == "riemannian":
-        return derivate_lab.riemannian_distance(space, seed=seed)
+        return derivate_lab.riemannian_distance(space)
     if name == "abelianized":
         return derivate_lab.abelianized_distance(space)
     if name == "snowflake":
@@ -403,8 +386,6 @@ def build_parser():
                        help="built-in name or JSON definition file")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=None,
-                       help=f"worker-thread cap (env {THREADS_ENV})")
         p.add_argument("--calibration-samples", type=int, default=150,
                        help="ball-box calibration sample count")
         p.set_defaults(func=fn)
@@ -464,7 +445,6 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _apply_threads(args.threads)
         os.makedirs(args.out, exist_ok=True)
         return args.func(args)
     except (OptimizerFailure, CalibrationError, LipschitzViolation) as exc:
@@ -473,10 +453,6 @@ def main(argv=None):
     except (InputError, CarnotError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-
-
-def entry():
-    raise SystemExit(main())
 
 
 if __name__ == "__main__":

@@ -6,30 +6,32 @@ are realized as sampled extremes over certified CC balls on a geometric
 t-grid, extrapolated by a tail fit; reports carry both the raw per-t
 data and the fit so the estimator is auditable.
 
-Also here: the End/Box samplers (a box is an end set flowed along a
-radial geodesic) and the spread estimate quantifying how a box's end
-stays together under the flow.
+Also here: the certified ball sampler and the spread estimate
+quantifying how a box's end stays together under the flow.  The End/Box
+samplers live in ``measure`` and are re-exported here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError, LipschitzViolation
-from .group import CarnotGroup
 from .metric import (
     CCSpace,
-    HorizontalMetric,
-    OptimizerBudget,
-    _lower_bounds_batch,
-    _optimize_controls,
     cc_upper_batch,
-    path_endpoints_batch,
+    lower_bounds_batch,
+    riemannian_upper_batch,
 )
-from .measure import MEMBERSHIP_BUDGET, _ball_point, enclosing_box_halfwidths
-from .measure import certified_upper_cheap
+from .measure import (
+    MEMBERSHIP_BUDGET,
+    BoxSpec,
+    certified_upper_cheap,
+    enclosing_box_halfwidths,
+    sample_box,
+    sample_end,
+)
 
 
 # -- Lipschitz distance functions ------------------------------------------
@@ -120,7 +122,7 @@ def cc_distance(space: CCSpace, ballbox=None, budget=None, seed=0,
 
     def evaluator(xs, ys):
         deltas = _canonical_deltas(space, xs, ys)
-        lower, _ = _lower_bounds_batch(space, deltas, ballbox)
+        lower, _ = lower_bounds_batch(space, deltas, ballbox)
         if use == "lower":
             return lower
         upper, _ = cc_upper_batch(space, deltas, budget=budget, seed=seed)
@@ -133,65 +135,16 @@ def cc_distance(space: CCSpace, ballbox=None, budget=None, seed=0,
                              tol=1e-6)
 
 
-class _CompletionSpace:
-    """A CCSpace look-alike whose horizontal bundle is the whole algebra.
-
-    Used to optimize Riemannian paths of a left-invariant completion with
-    the same machinery as horizontal paths; the grading is declared
-    orthogonal with unit weights above layer 1.
-    """
-
-    def __init__(self, space: CCSpace):
-        n = space.algebra.dim
-        gram = np.eye(n)
-        d1 = space.d1
-        gram[:d1, :d1] = space.metric.gram
-        self.group = space.group
-        self.algebra = space.algebra
-        self.metric = HorizontalMetric(gram)
-        self.d1 = n
-
-    def embed_horizontal(self, u):
-        return np.asarray(u, dtype=float)
-
-    def homogeneous_norm(self, x):
-        return np.linalg.norm(np.asarray(x, dtype=float), axis=-1)
-
-
-def riemannian_upper_batch(comp: _CompletionSpace, targets, budget=None,
-                           seed=0):
-    """Upper bounds on the completion's Riemannian distance from identity.
-
-    Same penalty optimizer as the CC case but with full-dimensional
-    controls; the final defect is closed by a single straight segment, so
-    the bound is the exact length of a feasible broken path.
-    """
-    if budget is None:
-        budget = OptimizerBudget(segments=8, starts=1, max_iter=120,
-                                 endpoint_tol=1e-8)
-    targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    B = targets.shape[0]
-    rng = np.random.default_rng(seed)
-    m = budget.segments
-    straight = np.repeat((targets / m)[:, None, :], m, axis=1)
-    controls = _optimize_controls(comp, targets, straight, budget)
-    endpoints = path_endpoints_batch(comp, controls)
-    defect = comp.group.bch(-endpoints, targets)
-    lengths = np.sum(comp.metric.norm(controls), axis=-1)
-    return lengths + comp.metric.norm(defect)
-
-
-def riemannian_distance(space: CCSpace, budget=None, seed=0) -> LipschitzDistance:
+def riemannian_distance(space: CCSpace, budget=None) -> LipschitzDistance:
     """Distance of the left-invariant Riemannian completion (L = 1).
 
     Approximate from above by optimized broken paths; 1-Lipschitz against
     d_cc since horizontal paths keep their length in the completion.
     """
-    comp = _CompletionSpace(space)
 
     def evaluator(xs, ys):
         deltas = _canonical_deltas(space, xs, ys)
-        return riemannian_upper_batch(comp, deltas, budget=budget, seed=seed)
+        return riemannian_upper_batch(space, deltas, budget=budget)
 
     return LipschitzDistance(name="riemannian", evaluator=evaluator, L=1.0,
                              tol=1e-6)
@@ -227,72 +180,7 @@ def abelianized_distance(space: CCSpace) -> LipschitzDistance:
     return LipschitzDistance(name="abelianized", evaluator=evaluator, L=1.0)
 
 
-# -- End / Box samplers ----------------------------------------------------
-
-
-@dataclass
-class BoxSpec:
-    """The box construction: an end set flowed along a radial geodesic.
-
-    End(x, v, epsilon): points x e^w with w_1 perpendicular to v in the
-    horizontal metric, |w_1| < epsilon, and |w_j| < epsilon^j per layer.
-    Box(x, v, epsilon): end points flowed along s -> (.) h_s e^v, s in
-    [0, 1].  The height enters through v itself (direction t*v, radius
-    t*epsilon gives the height-t box).
-    """
-
-    center: np.ndarray
-    direction: np.ndarray  # layer-1 vector, full coordinates
-    epsilon: float
-
-    def __post_init__(self):
-        self.center = np.asarray(self.center, dtype=float)
-        self.direction = np.asarray(self.direction, dtype=float)
-        if self.epsilon <= 0:
-            raise InputError("box epsilon must be positive")
-
-
-def _end_frame(space, v):
-    """Orthonormal basis (rows) of the orthocomplement of v in layer 1."""
-    d1 = space.d1
-    v1 = np.asarray(v, dtype=float)[:d1]
-    nv = float(space.metric.norm(v1))
-    if nv == 0:
-        raise InputError("box direction must be a nonzero layer-1 vector")
-    basis = [v1 / nv]
-    for e in np.eye(d1):
-        w = e.copy()
-        for b in basis:
-            w = w - space.metric.inner(b, w) * b
-        n = float(space.metric.norm(w))
-        if n > 1e-10:
-            basis.append(w / n)
-        if len(basis) == d1:
-            break
-    return np.array(basis[1:])
-
-
-def sample_end(space: CCSpace, spec: BoxSpec, count, rng):
-    """Uniform samples from End(center, direction, epsilon), (B, n)."""
-    a = space.algebra
-    if np.any(np.abs(spec.direction[space.d1:]) > 0):
-        raise InputError("box direction must lie in layer 1")
-    frame = _end_frame(space, spec.direction)
-    w = np.zeros((count, a.dim))
-    w[:, : space.d1] = _ball_point(rng, count, space.d1 - 1,
-                                   spec.epsilon) @ frame
-    for i in range(2, a.num_layers + 1):
-        sl = a.layer_slice(i)
-        w[:, sl] = _ball_point(rng, count, a.layer_dims[i - 1],
-                               spec.epsilon**i)
-    return space.group.bch(spec.center, w)
-
-
-def sample_box(space: CCSpace, spec: BoxSpec, count, rng):
-    """Uniform-in-parameters samples from Box(center, direction, epsilon)."""
-    ends = sample_end(space, spec, count, rng)
-    s = rng.uniform(0.0, 1.0, (count, 1))
-    return space.group.bch(ends, s * spec.direction[None, :])
+# -- certified ball sampler ------------------------------------------------
 
 
 def sample_ball(space: CCSpace, center, radius, count, rng, ballbox,

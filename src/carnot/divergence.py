@@ -11,12 +11,12 @@ bounds; model spaces use closed-form distances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError, OptimizerFailure
-from .metric import CCSpace, OptimizerBudget, _lower_bounds_batch, cc_upper_batch
+from .metric import CCSpace, OptimizerBudget, cc_upper_batch, lower_bounds_batch
 from .measure import certified_upper_cheap
 
 
@@ -131,7 +131,7 @@ def divergence_profile(space: CCSpace, pair: GeodesicPair, budget=None,
     if budget is None:
         budget = OptimizerBudget(segments=12, starts=2)
     disp = np.stack([displacement(space, pair, t) for t in pair.t_grid])
-    lower, _ = _lower_bounds_batch(space, disp, ballbox)
+    lower, _ = lower_bounds_batch(space, disp, ballbox)
     complete = True
     try:
         upper, _ = cc_upper_batch(space, disp, budget=budget, seed=seed)

@@ -157,12 +157,6 @@ class BchTable:
                     prefix = prefix @ ads[word[p]]
         return jx, jy
 
-    def graded_components(self, x, y):
-        """The layer pieces of x ⊛ y as a list, layer 1 first."""
-        z = self.bch(x, y)
-        return [self.algebra.layer_component(z, i)
-                for i in range(1, self.algebra.num_layers + 1)]
-
 
 def identity(algebra: GradedAlgebra):
     return np.zeros(algebra.dim)

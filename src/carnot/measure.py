@@ -6,6 +6,10 @@ volumes are Monte-Carlo estimates over an enclosing coordinate box built
 from the calibrated ball-box constant; membership uses the certified
 upper bound, with the certified lower bound recorded to bracket the
 misclassification band.
+
+Also here: the End/Box samplers (a box is an end set flowed along a
+radial geodesic) and the box volumes and box-to-ball densities built on
+them.
 """
 
 from __future__ import annotations
@@ -21,10 +25,9 @@ from .metric import (
     BallBoxConstant,
     CCSpace,
     OptimizerBudget,
-    _lower_bounds_batch,
     cc_upper_batch,
     close_defect_batch,
-    path_endpoints_batch,
+    lower_bounds_batch,
 )
 
 # Default budget for membership tests: cheap, certified via ladder closure.
@@ -131,7 +134,7 @@ def ball_volume(space: CCSpace, ballbox: BallBoxConstant, r, samples,
     box_vol = float(np.prod(2 * half))
     pts = rng.uniform(-1.0, 1.0, (samples, space.algebra.dim)) * half
 
-    lower, _ = _lower_bounds_batch(space, pts, ballbox)
+    lower, _ = lower_bounds_batch(space, pts, ballbox)
     upper = np.full(samples, np.inf)
     undecided = lower <= r
     if np.any(undecided):
@@ -200,7 +203,49 @@ def dimension_experiment(space: CCSpace, ballbox, radii, samples_per_radius,
     return rows, fit_dimension(rows)
 
 
-# -- box vs ball density ---------------------------------------------------
+# -- End / Box samplers ----------------------------------------------------
+
+
+@dataclass
+class BoxSpec:
+    """The box construction: an end set flowed along a radial geodesic.
+
+    End(x, v, epsilon): points x e^w with w_1 perpendicular to v in the
+    horizontal metric, |w_1| < epsilon, and |w_j| < epsilon^j per layer.
+    Box(x, v, epsilon): end points flowed along s -> (.) h_s e^v, s in
+    [0, 1].  The height enters through v itself (direction t*v, radius
+    t*epsilon gives the height-t box).
+    """
+
+    center: np.ndarray
+    direction: np.ndarray  # layer-1 vector, full coordinates
+    epsilon: float
+
+    def __post_init__(self):
+        self.center = np.asarray(self.center, dtype=float)
+        self.direction = np.asarray(self.direction, dtype=float)
+        if self.epsilon <= 0:
+            raise InputError("box epsilon must be positive")
+
+
+def _end_frame(space, v):
+    """Orthonormal basis (rows) of the orthocomplement of v in layer 1."""
+    d1 = space.d1
+    v1 = np.asarray(v, dtype=float)[:d1]
+    nv = float(space.metric.norm(v1))
+    if nv == 0:
+        raise InputError("box direction must be a nonzero layer-1 vector")
+    basis = [v1 / nv]
+    for e in np.eye(d1):
+        w = e.copy()
+        for b in basis:
+            w = w - space.metric.inner(b, w) * b
+        n = float(space.metric.norm(w))
+        if n > 1e-10:
+            basis.append(w / n)
+        if len(basis) == d1:
+            break
+    return np.array(basis[1:])
 
 
 def _ball_point(rng, count, dim, radius):
@@ -211,6 +256,32 @@ def _ball_point(rng, count, dim, radius):
     g /= np.maximum(np.linalg.norm(g, axis=1, keepdims=True), 1e-300)
     u = rng.uniform(0.0, 1.0, (count, 1)) ** (1.0 / dim)
     return radius * g * u
+
+
+def sample_end(space: CCSpace, spec: BoxSpec, count, rng):
+    """Uniform samples from End(center, direction, epsilon), (B, n)."""
+    a = space.algebra
+    if np.any(np.abs(spec.direction[space.d1:]) > 0):
+        raise InputError("box direction must lie in layer 1")
+    frame = _end_frame(space, spec.direction)
+    w = np.zeros((count, a.dim))
+    w[:, : space.d1] = _ball_point(rng, count, space.d1 - 1,
+                                   spec.epsilon) @ frame
+    for i in range(2, a.num_layers + 1):
+        sl = a.layer_slice(i)
+        w[:, sl] = _ball_point(rng, count, a.layer_dims[i - 1],
+                               spec.epsilon**i)
+    return space.group.bch(spec.center, w)
+
+
+def sample_box(space: CCSpace, spec: BoxSpec, count, rng):
+    """Uniform-in-parameters samples from Box(center, direction, epsilon)."""
+    ends = sample_end(space, spec, count, rng)
+    s = rng.uniform(0.0, 1.0, (count, 1))
+    return space.group.bch(ends, s * spec.direction[None, :])
+
+
+# -- box vs ball density ---------------------------------------------------
 
 
 def _unit_ball_volume(dim):
@@ -229,7 +300,7 @@ def box_volume(space: CCSpace, v, epsilon, samples, seed=0):
     if np.any(np.abs(v[space.d1:]) > 0):
         raise InputError("box direction must lie in layer 1")
     rng = np.random.default_rng(seed)
-    frame = _orthocomplement_frame(space, v[: space.d1])
+    frame = _end_frame(space, v)
     dims = [space.d1 - 1] + [a.layer_dims[i] for i in range(1, a.num_layers)]
     radii = [float(epsilon) ** (i + 1) for i in range(a.num_layers)]
     domain_vol = 1.0
@@ -239,28 +310,14 @@ def box_volume(space: CCSpace, v, epsilon, samples, seed=0):
 
     coords = [ _ball_point(rng, samples, d, rad) for d, rad in zip(dims, radii) ]
     s = rng.uniform(0.0, 1.0, (samples, 1))
-    params = np.concatenate(coords + [s], axis=1)
 
-    def phi(par):
-        w = np.zeros((par.shape[0], a.dim))
-        ofs = 0
-        w1 = par[:, : dims[0]] @ frame
-        w[:, : space.d1] = w1
-        ofs = dims[0]
-        for i in range(1, a.num_layers):
-            sl = a.layer_slice(i + 1)
-            w[:, sl] = par[:, ofs : ofs + dims[i]]
-            ofs += dims[i]
-        sv = par[:, -1:] * v[None, :]
-        return space.group.bch(w, sv)
-
-    # central differences for the Jacobian of phi, batched over samples
-    h = 1e-6 * max(float(epsilon), 1.0)
-    jac = np.empty((samples, a.dim, n_params))
-    for j in range(n_params):
-        dp = np.zeros(n_params)
-        dp[j] = h
-        jac[:, :, j] = (phi(params + dp) - phi(params - dp)) / (2 * h)
+    # w = embed @ (end parameters): the frame on layer 1, identity above
+    embed = np.zeros((a.dim, n_params - 1))
+    embed[: space.d1, : dims[0]] = frame.T
+    embed[space.d1 :, dims[0] :] = np.eye(a.dim - space.d1)
+    w = np.concatenate(coords, axis=1) @ embed.T
+    jx, jy = space.group.table.jacobians(w, s * v[None, :])
+    jac = np.concatenate([jx @ embed, (jy @ v)[..., None]], axis=-1)
     if n_params == a.dim:
         dets = np.abs(np.linalg.det(jac))
     else:
@@ -269,25 +326,6 @@ def box_volume(space: CCSpace, v, epsilon, samples, seed=0):
     mean = float(np.mean(dets))
     stderr = float(np.std(dets) / np.sqrt(samples))
     return domain_vol * mean, domain_vol * stderr
-
-
-def _orthocomplement_frame(space, v1):
-    """Rows: an orthonormal (w.r.t. the metric) basis of v1-perp in layer 1."""
-    d1 = space.d1
-    norm_v = space.metric.norm(v1)
-    if norm_v == 0:
-        raise InputError("box direction must be nonzero")
-    basis = [np.asarray(v1, dtype=float) / norm_v]
-    for e in np.eye(d1):
-        w = e.copy()
-        for b in basis:
-            w = w - space.metric.inner(b, w) * b
-        n = space.metric.norm(w)
-        if n > 1e-10:
-            basis.append(w / n)
-        if len(basis) == d1:
-            break
-    return np.array(basis[1:])
 
 
 @dataclass
@@ -316,7 +354,8 @@ def box_ball_density(space: CCSpace, ballbox, v, beta, t_values, samples,
 
     # enclosing radius factor from sampled box points at the largest height
     t_top = t_values[-1]
-    pts = _sample_box_points(space, t_top * v, t_top * beta, 256, rng)
+    spec = BoxSpec(np.zeros(a.dim), t_top * v, t_top * beta)
+    pts = sample_box(space, spec, 256, rng)
     upper = certified_upper_cheap(space, pts)
     finite = upper[np.isfinite(upper)]
     R = float(np.max(finite)) / t_top * 1.05
@@ -329,16 +368,3 @@ def box_ball_density(space: CCSpace, ballbox, v, beta, t_values, samples,
                            seed=seed + 101 * idx + 1, budget=budget)
         rows.append((t, bvol, ball.volume, bvol / ball.volume))
     return DensityReport(rows=rows, enclosing_radius_factor=R)
-
-
-def _sample_box_points(space, v, epsilon, count, rng):
-    a = space.algebra
-    frame = _orthocomplement_frame(space, v[: space.d1])
-    w = np.zeros((count, a.dim))
-    w1 = _ball_point(rng, count, space.d1 - 1, epsilon) @ frame
-    w[:, : space.d1] = w1
-    for i in range(1, a.num_layers):
-        sl = a.layer_slice(i + 1)
-        w[:, sl] = _ball_point(rng, count, a.layer_dims[i], epsilon ** (i + 1))
-    s = rng.uniform(0.0, 1.0, (count, 1))
-    return space.group.bch(w, s * v[None, :])

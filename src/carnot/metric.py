@@ -12,7 +12,7 @@ and from an empirically calibrated ball-box constant (flagged as such).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
@@ -235,7 +235,7 @@ def cc_lower_ballbox(space: CCSpace, x, y, c: BallBoxConstant):
     return float(space.homogeneous_norm(delta)) / c.A
 
 
-def _lower_bounds_batch(space: CCSpace, deltas, ballbox=None):
+def lower_bounds_batch(space: CCSpace, deltas, ballbox=None):
     """max(abelian, ball-box) lower bound for displacement coords (B, n)."""
     lower = space.metric.norm(deltas[..., : space.d1])
     method = np.zeros(lower.shape, dtype=int)  # 0 = abelian, 1 = ballbox
@@ -420,17 +420,18 @@ class OptimizerBudget:
         return OptimizerBudget(**d)
 
 
-def _fold_forward(space, controls):
+def _fold_forward(group, controls):
     """Endpoint of the control stack and per-step Jacobians.
 
-    controls: (B, m, d1).  Returns endpoint (B, n) and lists of J_a, J_b.
+    controls: (B, m, d) with the first d coordinates driven.  Returns
+    endpoint (B, n) and lists of J_a, J_b.
     """
-    group = space.group
-    B, m, _ = controls.shape
-    z = np.zeros((B, space.algebra.dim))
+    B, m, d = controls.shape
+    z = np.zeros((B, group.dim))
     jas, jbs = [], []
     for j in range(m):
-        step = space.embed_horizontal(controls[:, j])
+        step = np.zeros((B, group.dim))
+        step[:, :d] = controls[:, j]
         ja, jb = group.table.jacobians(z, step)
         jas.append(ja)
         jbs.append(jb)
@@ -438,22 +439,22 @@ def _fold_forward(space, controls):
     return z, jas, jbs
 
 
-def path_endpoints_batch(space, controls):
-    """Endpoint coordinates for a (B, m, d1) control stack from identity.
+def path_endpoints_batch(group, controls):
+    """Endpoint coordinates for a (B, m, d) control stack from identity.
 
-    For step-2 groups the product telescopes into prefix sums; otherwise
-    the exact fold is used step by step.
+    For step-2 groups with horizontal controls the product telescopes
+    into prefix sums; otherwise the exact fold is used step by step.
     """
-    if space.group.table.degree <= 2 and space.d1 == space.algebra.layer_dims[0]:
-        return _endpoint_step2(space, controls)
-    z, _, _ = _fold_forward(space, controls)
+    if group.table.degree <= 2 and controls.shape[-1] == group.algebra.layer_dims[0]:
+        return _endpoint_step2(group, controls)
+    z, _, _ = _fold_forward(group, controls)
     return z
 
 
-def _endpoint_step2(space, controls):
+def _endpoint_step2(group, controls):
     # z_1 = sum_j u_j;  z_2 = 1/2 sum_j [S_{j-1}, u_j] with S the prefix sums
-    d1 = space.d1
-    c2 = space.algebra.structure[:d1, :d1, d1:]
+    d1 = controls.shape[-1]
+    c2 = group.algebra.structure[:d1, :d1, d1:]
     cum = np.cumsum(controls, axis=1)
     prev = cum - controls
     z1 = cum[:, -1]
@@ -461,9 +462,9 @@ def _endpoint_step2(space, controls):
     return np.concatenate([z1, z2], axis=-1)
 
 
-def _penalty_value_grad_step2(space, controls, targets, mu, gram):
-    d1 = space.d1
-    c2 = space.algebra.structure[:d1, :d1, d1:]
+def _penalty_value_grad_step2(group, gram, controls, targets, mu):
+    d1 = gram.shape[0]
+    c2 = group.algebra.structure[:d1, :d1, d1:]
     cum = np.cumsum(controls, axis=1)
     prev = cum - controls
     z1 = cum[:, -1]
@@ -484,12 +485,16 @@ def _penalty_value_grad_step2(space, controls, targets, mu, gram):
     return value, grad
 
 
-def _penalty_value_grad(space, controls, targets, mu, gram):
-    """Energy + mu * endpoint misfit, with gradient, fully batched."""
-    if space.group.table.degree <= 2 and space.d1 == space.algebra.layer_dims[0]:
-        return _penalty_value_grad_step2(space, controls, targets, mu, gram)
-    B, m, d1 = controls.shape
-    z, jas, jbs = _fold_forward(space, controls)
+def _penalty_value_grad(group, gram, controls, targets, mu):
+    """Energy + mu * endpoint misfit, with gradient, fully batched.
+
+    ``gram`` is the metric on the controls, which drive the first
+    ``gram.shape[0]`` coordinates.
+    """
+    m, d = controls.shape[1], gram.shape[0]
+    if group.table.degree <= 2 and d == group.algebra.layer_dims[0]:
+        return _penalty_value_grad_step2(group, gram, controls, targets, mu)
+    z, jas, jbs = _fold_forward(group, controls)
     gu = controls @ gram
     energy = np.einsum("bmi,bmi->b", controls, gu)
     diff = z - targets
@@ -497,26 +502,26 @@ def _penalty_value_grad(space, controls, targets, mu, gram):
     grad = 2.0 * gu
     cbar = 2.0 * mu * diff
     for j in range(m - 1, -1, -1):
-        grad[:, j] += np.einsum("blj,bl->bj", jbs[j], cbar)[:, :d1]
+        grad[:, j] += np.einsum("blj,bl->bj", jbs[j], cbar)[:, :d]
         cbar = np.einsum("blj,bl->bj", jas[j], cbar)
     return value, grad
 
 
-def _optimize_controls(space, targets, controls0, budget):
+def _optimize_controls(group, gram, targets, controls0, budget):
     """Penalty-continuation quasi-Newton minimization of path energy.
 
-    targets: (B, n); controls0: (B, m, d1).  Returns optimized controls.
+    targets: (B, n); controls0: (B, m, d) with d = gram.shape[0].
+    Returns optimized controls.
     """
-    B, m, d1 = controls0.shape
-    gram = space.metric.gram
+    B, m, d = controls0.shape
     scale_ref = 1.0 + np.linalg.norm(targets, axis=-1)
 
     controls = controls0
     mu = budget.penalty_init
     while True:
         def fun(flat, _mu=mu):
-            c = flat.reshape(B, m, d1)
-            v, g = _penalty_value_grad(space, c, targets, _mu, gram)
+            c = flat.reshape(B, m, d)
+            v, g = _penalty_value_grad(group, gram, c, targets, _mu)
             return v, g.ravel()
 
         res = minimize(
@@ -527,8 +532,8 @@ def _optimize_controls(space, targets, controls0, budget):
             options={"maxiter": budget.max_iter, "ftol": budget.ftol,
                      "gtol": budget.gtol},
         )
-        controls = res.x.reshape(B, m, d1)
-        endpoint = path_endpoints_batch(space, controls)
+        controls = res.x.reshape(B, m, d)
+        endpoint = path_endpoints_batch(group, controls)
         residual = np.linalg.norm(endpoint - targets, axis=-1) / scale_ref
         if np.max(residual) <= budget.endpoint_tol / 10 or mu >= budget.penalty_max:
             break
@@ -556,6 +561,65 @@ def _initial_controls(space, targets, budget, rng):
     return np.stack(inits, axis=0)
 
 
+def _shortest_paths(space: CCSpace, targets, budget, seed):
+    """Shortest optimized and ladder-closed path from e^0 to each target.
+
+    Per row the shortest start whose ladder closure is feasible is kept,
+    or the first start if none is.  Returns (upper, residual, paths):
+    ``upper`` is the kept path's length, inf where it is infeasible and 0
+    for a zero target.  ``paths`` lists (rows, controls) per chunk of
+    nonzero targets, the kept paths as unit-duration control
+    displacements, (len(rows), k, d1), optimized segments first.
+    """
+    targets = np.atleast_2d(space.algebra.vector(targets))
+    B = targets.shape[0]
+    rng = np.random.default_rng(seed)
+    upper = np.zeros(B)
+    residual = np.zeros(B)
+
+    # Normalize to unit homogeneous norm: a dilation maps witness paths to
+    # witness paths and scales lengths exactly, so the bound is computed at
+    # scale one and is exactly dilation covariant.
+    scales = space.homogeneous_norm(targets)
+    live = scales > 0
+    weights = np.ones_like(targets)
+    weights[live] = (
+        1.0 / scales[live, None]
+    ) ** space.algebra.layer_of.astype(float)[None, :]
+    norm_targets = targets * weights
+
+    paths = []
+    for first in range(0, B, budget.chunk):
+        idx = np.arange(first, min(first + budget.chunk, B))
+        idx = idx[live[idx]]
+        if not len(idx):
+            continue
+        tg = norm_targets[idx]
+        inits = _initial_controls(space, tg, budget, rng)
+        S, b = inits.shape[0], len(idx)
+        stacked = np.tile(tg, (S, 1))
+        controls = _optimize_controls(
+            space.group, space.metric.gram, stacked,
+            inits.reshape(S * b, budget.segments, -1), budget,
+        )
+        endpoint = path_endpoints_batch(space.group, controls)
+        lengths = np.sum(space.metric.norm(controls), axis=-1)
+        extra, _, res, segs = close_defect_batch(space, endpoint, stacked,
+                                                 collect=True)
+        total = (lengths + extra).reshape(S, b)
+        res = res.reshape(S, b)
+        total = np.where(res <= 1e-9 * (1 + np.linalg.norm(tg, axis=-1)),
+                         total, np.inf)
+        best = np.argmin(total, axis=0)
+        cols = np.arange(b)
+        upper[idx] = total[best, cols] * scales[idx]
+        residual[idx] = res[best, cols]
+        kept = [controls.reshape(S, b, budget.segments, -1)[best, cols]]
+        kept += [u.reshape(S, b, 1, -1)[best, cols] for u in segs]
+        paths.append((idx, scales[idx, None, None] * np.concatenate(kept, axis=1)))
+    return upper, residual, paths
+
+
 def cc_upper_batch(space: CCSpace, targets, budget=None, seed=0):
     """Certified upper bounds d_cc(e^0, target) for a batch of targets.
 
@@ -565,61 +629,11 @@ def cc_upper_batch(space: CCSpace, targets, budget=None, seed=0):
     """
     if budget is None:
         budget = OptimizerBudget()
-    targets = np.atleast_2d(space.algebra.vector(targets))
-    B = targets.shape[0]
-    rng = np.random.default_rng(seed)
-    upper = np.full(B, np.inf)
-    residual = np.full(B, np.inf)
-
-    # Normalize to unit homogeneous norm: a dilation maps witness paths to
-    # witness paths and scales lengths exactly, so the bound is computed at
-    # scale one and is exactly dilation covariant.
-    scales = space.homogeneous_norm(targets)
-    live = scales > 0
-    if not np.all(live):
-        upper[~live] = 0.0
-        residual[~live] = 0.0
-        if not np.any(live):
-            return upper, residual
-    weights = np.ones_like(targets)
-    weights[live] = (
-        1.0 / scales[live, None]
-    ) ** space.algebra.layer_of.astype(float)[None, :]
-    norm_targets = targets * weights
-
-    chunks = [np.arange(i, min(i + budget.chunk, B))
-              for i in range(0, B, budget.chunk)]
-    chunks = [idx[live[idx]] for idx in chunks]
-    chunks = [idx for idx in chunks if len(idx)]
-
-    def run_chunk(idx):
-        tg = norm_targets[idx]
-        inits = _initial_controls(space, tg, budget, rng)
-        S = inits.shape[0]
-        stacked_targets = np.tile(tg, (S, 1))
-        controls = _optimize_controls(
-            space, stacked_targets, inits.reshape(S * len(idx), budget.segments, -1),
-            budget,
-        )
-        endpoint = path_endpoints_batch(space, controls)
-        lengths = np.sum(space.metric.norm(controls), axis=-1)
-        extra, _, res, _ = close_defect_batch(space, endpoint, stacked_targets)
-        total = (lengths + extra).reshape(S, len(idx))
-        res = res.reshape(S, len(idx))
-        total = np.where(res <= 1e-9 * (1 + np.linalg.norm(tg, axis=-1)),
-                         total, np.inf)
-        best = np.argmin(total, axis=0)
-        cols = np.arange(len(idx))
-        return total[best, cols], res[best, cols]
-
-    results = [run_chunk(idx) for idx in chunks]
-    for idx, (u, r) in zip(chunks, results):
-        upper[idx] = u * scales[idx]
-        residual[idx] = r
+    upper, residual, _ = _shortest_paths(space, targets, budget, seed)
     if np.any(~np.isfinite(upper)):
         bad = int(np.sum(~np.isfinite(upper)))
         raise OptimizerFailure(
-            f"{bad} of {B} targets failed to reach endpoint tolerance",
+            f"{bad} of {len(upper)} targets failed to reach endpoint tolerance",
             residual=residual,
         )
     return upper, residual
@@ -636,10 +650,10 @@ def cc_upper(space: CCSpace, x, y, budget=None, seed=0):
         budget = OptimizerBudget()
     x = space.algebra.vector(x)
     y = space.algebra.vector(y)
-    target = space.group.difference(x, y)
-    rng = np.random.default_rng(seed)
-    scale = float(space.homogeneous_norm(target))
-    if scale == 0:
+    upper, residual, paths = _shortest_paths(
+        space, space.group.difference(x, y), budget, seed
+    )
+    if not paths:  # x == y
         return DistanceEstimate(
             lower=0.0,
             upper=0.0,
@@ -649,50 +663,53 @@ def cc_upper(space: CCSpace, x, y, budget=None, seed=0):
             endpoint_residual=0.0,
             seed=seed,
         )
-    weights = (1.0 / scale) ** space.algebra.layer_of.astype(float)
-    target = target * weights
-    tg = target[None, :]
-    inits = _initial_controls(space, tg, budget, rng)
-    S = inits.shape[0]
-    stacked = np.tile(tg, (S, 1))
-    controls = _optimize_controls(
-        space, stacked, inits.reshape(S, budget.segments, -1), budget
-    )
-    endpoint = path_endpoints_batch(space, controls)
-    extra, closed, res, segs = close_defect_batch(
-        space, endpoint, stacked, collect=True
-    )
-    lengths = np.sum(space.metric.norm(controls), axis=-1) + extra
-    scale_ref = 1.0 + np.linalg.norm(target)
-    feasible = res <= 1e-9 * scale_ref
-    order = np.argsort(np.where(feasible, lengths, np.inf))
-    best = int(order[0])
-    segments = [controls[best]] + [
-        np.atleast_2d(u)[best][None, :] for u in (segs or [])
-    ]
-    all_controls = scale * np.concatenate(
-        [np.atleast_2d(c).reshape(-1, space.d1) for c in segments], axis=0
-    )
-    keep = np.linalg.norm(all_controls, axis=1) > 0
+    _, kept = paths[0]
+    controls = kept[0]
+    keep = np.linalg.norm(controls, axis=1) > 0
     witness = ControlPath(
-        np.ones(int(np.sum(keep))), all_controls[keep], x
+        np.ones(int(np.sum(keep))), controls[keep], x
     ).constant_speed()
-    if not feasible[best]:
+    if not np.isfinite(upper[0]):
         raise OptimizerFailure(
             "endpoint tolerance not reached",
             best_path=witness,
-            residual=float(res[best]),
+            residual=float(residual[0]),
         )
-    upper = witness.length(space)
     return DistanceEstimate(
         lower=0.0,
-        upper=float(upper),
+        upper=witness.length(space),
         witness=witness,
         lower_method="none",
         upper_method=f"path-optimizer(m={budget.segments},starts={budget.starts})",
-        endpoint_residual=float(res[best]),
+        endpoint_residual=float(residual[0]),
         seed=seed,
     )
+
+
+def riemannian_upper_batch(space: CCSpace, targets, budget=None):
+    """Upper bounds on the Riemannian completion's distance from identity.
+
+    The completion's metric is the horizontal Gram matrix on layer 1 and
+    the identity above it.  Its paths are optimized like horizontal ones,
+    with controls in every coordinate; the final defect is closed by a
+    single straight segment, so the bound is the exact length of a
+    feasible broken path.
+    """
+    if budget is None:
+        budget = OptimizerBudget(segments=8, starts=1, max_iter=120,
+                                 endpoint_tol=1e-8)
+    targets = np.atleast_2d(np.asarray(targets, dtype=float))
+    gram = np.eye(space.algebra.dim)
+    gram[: space.d1, : space.d1] = space.metric.gram
+    completion = HorizontalMetric(gram)
+    m = budget.segments
+    straight = np.repeat((targets / m)[:, None, :], m, axis=1)
+    controls = _optimize_controls(space.group, completion.gram, targets,
+                                  straight, budget)
+    endpoints = path_endpoints_batch(space.group, controls)
+    defect = space.group.bch(-endpoints, targets)
+    lengths = np.sum(completion.norm(controls), axis=-1)
+    return lengths + completion.norm(defect)
 
 
 # -- combined estimates ----------------------------------------------------
@@ -747,7 +764,7 @@ def estimate_distance(space: CCSpace, x, y, budget=None, ballbox=None, seed=0):
     """Two-sided certified estimate of d_cc(x, y)."""
     est = cc_upper(space, x, y, budget=budget, seed=seed)
     delta = space.group.difference(x, y)
-    lower, method = _lower_bounds_batch(space, delta[None, :], ballbox)
+    lower, method = lower_bounds_batch(space, delta[None, :], ballbox)
     lower_method = "abelianization" if method[0] == 0 else "ball-box"
     lower_val = float(min(lower[0], est.upper))
     return DistanceEstimate(

@@ -110,6 +110,15 @@ def test_box_volume_abelian_closed_form():
                    np.array([0.0, 0.0, 1.0]), 0.5, 100)
 
 
+def test_box_volume_heisenberg_exact(heis):
+    # (a, c, s) -> e^{aY + cZ} e^{sLX} has Jacobian determinant L on the
+    # domain [-eps, eps] x [-eps^2, eps^2] x [0, 1], so the volume is 4 eps^3 L
+    x = heis.algebra.from_label("X")
+    for L, eps in ((1.0, 0.5), (2.0, 0.3), (0.7, 1.5)):
+        vol, _ = box_volume(heis, L * x, eps, 64, seed=3)
+        assert vol == pytest.approx(4 * eps**3 * L, rel=1e-13)
+
+
 def test_box_volume_scaling_abelian():
     # doubling the direction and radius scales volume by 2^Q with Q = n
     space = CCSpace(catalog.abelian(2))

@@ -23,6 +23,7 @@ from carnot.metric import (
     cc_upper_batch,
     close_defect_batch,
     estimate_distance,
+    lower_bounds_batch,
     path_endpoint,
     radial_geodesic,
 )
@@ -65,12 +66,20 @@ def test_vertical_distance_matches_isoperimetric_oracle(heis):
     assert est.upper >= np.sqrt(4 * np.pi) - 1e-9  # certified upper bound
 
 
-def test_witness_is_feasible(heis, rng):
-    target = rng.standard_normal(3)
-    est = cc_upper(heis, np.zeros(3), target, budget=FAST)
-    end = est.witness.endpoint(heis)
-    assert np.allclose(end, target, atol=1e-8)
-    assert est.witness.length(heis) == pytest.approx(est.upper, rel=1e-12)
+def test_witness_is_feasible(heis, engel_space, rng):
+    # Heisenberg takes the step-2 shortcut, Engel the general step-3 fold;
+    # both run through the core behind cc_upper_batch
+    for space in (heis, engel_space):
+        n = space.algebra.dim
+        x = np.zeros(n)
+        target = rng.standard_normal(n)
+        est = cc_upper(space, x, target, budget=FAST, seed=0)
+        end = est.witness.endpoint(space)
+        assert np.allclose(end, target, atol=1e-8)
+        assert est.witness.length(space) == pytest.approx(est.upper, rel=1e-12)
+        batch, _ = cc_upper_batch(space, space.group.difference(x, target),
+                                  budget=FAST, seed=0)
+        assert est.upper == pytest.approx(batch[0], rel=1e-12)
 
 
 def test_control_path_reparametrization(heis, rng):
@@ -127,8 +136,7 @@ def test_ballbox_constant_calibration(heis_ballbox):
 def test_lower_never_exceeds_upper(heis, heis_ballbox, rng):
     pts = rng.standard_normal((200, 3))
     upper, _ = cc_upper_batch(heis, pts, budget=FAST, seed=1)
-    from carnot.metric import _lower_bounds_batch
-    lower, _ = _lower_bounds_batch(heis, pts, heis_ballbox)
+    lower, _ = lower_bounds_batch(heis, pts, heis_ballbox)
     assert np.all(lower <= upper * (1 + 1e-9))
 
 
