@@ -44,7 +44,7 @@ class GradedAlgebra:
         if not layer_dims or any(d <= 0 for d in layer_dims):
             raise InputError("layer_dims must be a nonempty list of positive integers")
         n = sum(layer_dims)
-        structure = np.asarray(structure, dtype=float)
+        structure = np.array(structure, dtype=float)
         if structure.shape != (n, n, n):
             raise InputError(
                 f"structure tensor has shape {structure.shape}, expected {(n, n, n)}"
@@ -53,6 +53,8 @@ class GradedAlgebra:
         self.layer_dims = tuple(layer_dims)
         self.structure = structure
         self.structure.setflags(write=False)
+        # ad(x)[l, j] = sum_i x_i c[i, j, l], as one matmul against (n, n*n)
+        self._ad_table = structure.transpose(0, 2, 1).reshape(n, n * n)
         if labels is None:
             labels = [f"e{i}" for i in range(n)]
         if len(labels) != n:
@@ -130,7 +132,7 @@ class GradedAlgebra:
     def ad(self, x):
         """Matrix of ad(x): v -> [x, v], batched over leading axes of x."""
         x = self.vector(x)
-        return np.einsum("...i,ijl->...lj", x, self.structure)
+        return (x @ self._ad_table).reshape(x.shape[:-1] + (self.dim, self.dim))
 
     def __repr__(self):
         return f"GradedAlgebra({self.name!r}, layers={self.layer_dims})"

@@ -282,9 +282,7 @@ def derivate(space: CCSpace, d: LipschitzDistance, x, v, t_grid=None,
     if np.any(t_grid < 1e-5):
         raise InputError("t grid entries must stay above 1e-5")
     if ballbox is None:
-        from .metric import BallBoxConstant
-        ballbox = BallBoxConstant(A=2.0, samples=0, seed=0, safety=1.0,
-                                  max_ratio=2.0)
+        raise InputError("derivate requires a calibrated ball-box constant")
     vnorm = float(space.metric.norm(v[: space.d1]))
     rng = np.random.default_rng(seed)
     rows = []

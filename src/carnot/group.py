@@ -8,6 +8,13 @@ where a word is a tuple over {0, 1} (0 = left factor, 1 = right factor)
 evaluated as a left-normed nested bracket.  Truncation at the nilpotency
 degree is exact, so products of arbitrarily far apart elements need no
 special handling.
+
+Derivatives of the product come in closed form from the derivative of
+exp: with psi(A) = A / (1 - e^{-A}) and phi(A) = (1 - e^{-A}) / A, both
+truncated at the nilpotency degree, z = bch(x, y) has Jacobians
+psi(-ad z) phi(-ad x) and psi(ad z) phi(ad y).  ``horner`` applies such
+a matrix series to row vectors, which is how the path optimizer pulls
+gradients back without forming Jacobians.
 """
 
 from __future__ import annotations
@@ -21,6 +28,13 @@ from .algebra import GradedAlgebra, nilpotency_degree
 from .errors import InputError
 
 MAX_BCH_ORDER = 6
+
+# Taylor coefficients of the derivative-of-exp series up to A^5, enough
+# for ad-nilpotent arguments of degree <= MAX_BCH_ORDER:
+# psi(A) = A / (1 - e^{-A}), phi(A) = (1 - e^{-A}) / A and e^A.
+PSI = (1.0, 1 / 2, 1 / 12, 0.0, -1 / 720, 0.0)
+PHI = (1.0, -1 / 2, 1 / 6, -1 / 24, 1 / 120, -1 / 720)
+EXP = (1.0, 1.0, 1 / 2, 1 / 6, 1 / 24, 1 / 120)
 
 
 @lru_cache(maxsize=None)
@@ -98,6 +112,10 @@ class BchTable:
         self.bracket_terms = [
             (float(c), w) for w, c in sorted(all_words.items()) if len(w) >= 2
         ]
+        # ad is nilpotent of this degree, so the series stop before A^degree
+        self.psi = PSI[: self.degree]
+        self.phi = PHI[: self.degree]
+        self.exp = EXP[: self.degree]
 
     def _check(self, x, y):
         x = self.algebra.vector(x)
@@ -121,41 +139,27 @@ class BchTable:
         """Jacobian matrices (J_x, J_y) of bch(x, y), batched.
 
         Each is an (..., n, n) array with J[..., l, j] = d z_l / d x_j.
+        With z = bch(x, y), J_x = psi(-ad z) phi(-ad x) and
+        J_y = psi(ad z) phi(ad y) (derivative of exp).
         """
         x, y = self._check(x, y)
-        n = self.algebra.dim
-        batch = np.broadcast_shapes(x.shape[:-1], y.shape[:-1])
-        eye = np.broadcast_to(np.eye(n), batch + (n, n))
-        jx = np.array(eye)
-        jy = np.array(eye)
-        vecs = (x, y)
-        ads = {0: self.algebra.ad(x), 1: self.algebra.ad(y)}
-        for coeff, word in self.bracket_terms:
-            m = len(word)
-            # suffix values S[p] = left-normed bracket of word[p:]
-            suffix = [None] * m
-            suffix[m - 1] = np.broadcast_to(vecs[word[-1]], batch + (n,))
-            for p in range(m - 2, -1, -1):
-                suffix[p] = np.einsum(
-                    "...i,...j,ijl->...l",
-                    vecs[word[p]],
-                    suffix[p + 1],
-                    self.algebra.structure,
-                )
-            prefix = eye
-            for p in range(m):
-                if p < m - 1:
-                    # d/d(slot p) ad(u) S[p+1] = [delta, S[p+1]] = -ad(S[p+1]) delta
-                    contrib = -prefix @ self.algebra.ad(suffix[p + 1])
-                else:
-                    contrib = prefix
-                if word[p] == 0:
-                    jx = jx + coeff * contrib
-                else:
-                    jy = jy + coeff * contrib
-                if p < m - 1:
-                    prefix = prefix @ ads[word[p]]
+        ad = self.algebra.ad
+        adz = ad(self.bch(x, y))
+        eye = np.broadcast_to(np.eye(self.algebra.dim), adz.shape)
+        jx = horner(horner(eye, -adz, self.psi), ad(-x), self.phi)
+        jy = horner(horner(eye, adz, self.psi), ad(y), self.phi)
         return jx, jy
+
+
+def horner(rows, a, coeffs):
+    """rows @ sum_k coeffs[k] a^k by Horner's rule, batched.
+
+    ``rows`` is (..., r, n) and ``a`` is (..., n, n).
+    """
+    out = coeffs[-1] * rows
+    for c in coeffs[-2::-1]:
+        out = np.einsum("...ri,...ij->...rj", out, a) + c * rows
+    return out
 
 
 def identity(algebra: GradedAlgebra):

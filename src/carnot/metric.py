@@ -4,7 +4,12 @@ Upper bounds come from optimized horizontal paths with piecewise-constant
 left-invariant controls; a piecewise-constant path integrates exactly
 through the group product, so the only approximation in the story is the
 optimizer's endpoint defect, which is closed exactly by an explicit
-commutator-ladder path whose length is added to the bound.
+commutator-ladder path whose length is added to the bound.  The
+optimizer minimizes path energy plus a penalty on the endpoint misfit;
+the misfit's gradient is pulled back through the closed-form derivative
+of the product (``group.horner``), without per-step Jacobian matrices.
+Step-2 groups with horizontal controls only differ in how the prefix
+products are formed: they telescope into prefix sums.
 
 Lower bounds come from the 1-Lipschitz abelianization quotient (exact)
 and from an empirically calibrated ball-box constant (flagged as such).
@@ -19,17 +24,19 @@ from scipy.optimize import minimize
 
 from .algebra import GradedAlgebra
 from .errors import CalibrationError, InputError, OptimizerFailure, UnreachableError
-from .group import CarnotGroup
+from .group import CarnotGroup, horner
 
 # Coordinate residual below which an endpoint counts as exact.
 EXACT_TOL = 1e-12
+# Targets optimized together in one batch.
+CHUNK = 32768
 
 
 class HorizontalMetric:
     """Inner product on the layer-1 coordinates."""
 
     def __init__(self, gram):
-        gram = np.asarray(gram, dtype=float)
+        gram = np.array(gram, dtype=float)
         if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
             raise InputError("gram matrix must be square")
         if np.max(np.abs(gram - gram.T)) > 1e-12 * max(1.0, np.max(np.abs(gram))):
@@ -410,7 +417,6 @@ class OptimizerBudget:
     penalty_growth: float = 10.0
     penalty_max: float = 1e12
     endpoint_tol: float = 1e-9
-    chunk: int = 32768
     gtol: float = 1e-12
     ftol: float = 1e-15
 
@@ -420,91 +426,57 @@ class OptimizerBudget:
         return OptimizerBudget(**d)
 
 
-def _fold_forward(group, controls):
-    """Endpoint of the control stack and per-step Jacobians.
+def _prefix_endpoints(group, controls):
+    """Prefix products z_0 = 0, ..., z_m of a (B, m, d) control stack.
 
-    controls: (B, m, d) with the first d coordinates driven.  Returns
-    endpoint (B, n) and lists of J_a, J_b.
+    Returns (B, m + 1, n); the controls drive the first d coordinates.
+    For step-2 groups with horizontal controls the product telescopes
+    into prefix sums; otherwise the exact product is folded step by step.
     """
     B, m, d = controls.shape
-    z = np.zeros((B, group.dim))
-    jas, jbs = [], []
-    for j in range(m):
+    z = np.zeros((B, m + 1, group.dim))
+    if group.table.degree <= 2 and d == group.algebra.layer_dims[0]:
+        # z_j = (S_j, 1/2 sum_{i <= j} [S_{i-1}, u_i]) with S the prefix sums
+        c2 = group.algebra.structure[:d, :d, d:]
+        cum = np.cumsum(controls, axis=1)
+        z[:, 1:, :d] = cum
+        z[:, 1:, d:] = 0.5 * np.cumsum(
+            np.einsum("bmi,bmj,ijl->bml", cum - controls, controls, c2), axis=1
+        )
+    else:
         step = np.zeros((B, group.dim))
-        step[:, :d] = controls[:, j]
-        ja, jb = group.table.jacobians(z, step)
-        jas.append(ja)
-        jbs.append(jb)
-        z = group.bch(z, step)
-    return z, jas, jbs
-
-
-def path_endpoints_batch(group, controls):
-    """Endpoint coordinates for a (B, m, d) control stack from identity.
-
-    For step-2 groups with horizontal controls the product telescopes
-    into prefix sums; otherwise the exact fold is used step by step.
-    """
-    if group.table.degree <= 2 and controls.shape[-1] == group.algebra.layer_dims[0]:
-        return _endpoint_step2(group, controls)
-    z, _, _ = _fold_forward(group, controls)
+        for j in range(m):
+            step[:, :d] = controls[:, j]
+            z[:, j + 1] = group.bch(z[:, j], step)
     return z
 
 
-def _endpoint_step2(group, controls):
-    # z_1 = sum_j u_j;  z_2 = 1/2 sum_j [S_{j-1}, u_j] with S the prefix sums
-    d1 = controls.shape[-1]
-    c2 = group.algebra.structure[:d1, :d1, d1:]
-    cum = np.cumsum(controls, axis=1)
-    prev = cum - controls
-    z1 = cum[:, -1]
-    z2 = 0.5 * np.einsum("bmi,bmj,ijl->bl", prev, controls, c2)
-    return np.concatenate([z1, z2], axis=-1)
-
-
-def _penalty_value_grad_step2(group, gram, controls, targets, mu):
-    d1 = gram.shape[0]
-    c2 = group.algebra.structure[:d1, :d1, d1:]
-    cum = np.cumsum(controls, axis=1)
-    prev = cum - controls
-    z1 = cum[:, -1]
-    z2 = 0.5 * np.einsum("bmi,bmj,ijl->bl", prev, controls, c2)
-    z = np.concatenate([z1, z2], axis=-1)
-    gu = controls @ gram
-    energy = np.einsum("bmi,bmi->b", controls, gu)
-    diff = z - targets
-    value = float(np.sum(energy) + mu * np.sum(diff * diff))
-    cbar1 = 2.0 * mu * diff[:, :d1]
-    cbar2 = 2.0 * mu * diff[:, d1:]
-    # suffix sums T_j = sum_{l > j} u_l
-    total = cum[:, -1:, :]
-    suffix = total - cum
-    grad = 2.0 * gu + cbar1[:, None, :]
-    grad += 0.5 * np.einsum("bl,bmi,ijl->bmj", cbar2, prev, c2)
-    grad += 0.5 * np.einsum("bl,bmj,ijl->bmi", cbar2, suffix, c2)
-    return value, grad
+def path_endpoints_batch(group, controls):
+    """Endpoint coordinates for a (B, m, d) control stack from identity."""
+    return _prefix_endpoints(group, controls)[:, -1]
 
 
 def _penalty_value_grad(group, gram, controls, targets, mu):
     """Energy + mu * endpoint misfit, with gradient, fully batched.
 
     ``gram`` is the metric on the controls, which drive the first
-    ``gram.shape[0]`` coordinates.
+    ``gram.shape[0]`` coordinates of the steps s_j.  The misfit gradient
+    pulls cbar = 2 mu (z_m - target) back through
+    dz_m/ds_j = psi(-ad z_m) exp(ad z_{j-1}) phi(-ad s_j), all j at once.
     """
-    m, d = controls.shape[1], gram.shape[0]
-    if group.table.degree <= 2 and d == group.algebra.layer_dims[0]:
-        return _penalty_value_grad_step2(group, gram, controls, targets, mu)
-    z, jas, jbs = _fold_forward(group, controls)
+    d = gram.shape[0]
+    table, ad = group.table, group.algebra.ad
+    z = _prefix_endpoints(group, controls)
+    steps = np.zeros(z[:, 1:].shape)
+    steps[..., :d] = controls
     gu = controls @ gram
     energy = np.einsum("bmi,bmi->b", controls, gu)
-    diff = z - targets
+    diff = z[:, -1] - targets
     value = float(np.sum(energy) + mu * np.sum(diff * diff))
-    grad = 2.0 * gu
-    cbar = 2.0 * mu * diff
-    for j in range(m - 1, -1, -1):
-        grad[:, j] += np.einsum("blj,bl->bj", jbs[j], cbar)[:, :d]
-        cbar = np.einsum("blj,bl->bj", jas[j], cbar)
-    return value, grad
+    cbar = horner(2.0 * mu * diff[:, None, :], ad(-z[:, -1]), table.psi)
+    cbar = horner(cbar[:, None], ad(z[:, :-1]), table.exp)
+    pulled = horner(cbar, ad(-steps), table.phi)
+    return value, 2.0 * gu + pulled[..., 0, :d]
 
 
 def _optimize_controls(group, gram, targets, controls0, budget):
@@ -589,8 +561,8 @@ def _shortest_paths(space: CCSpace, targets, budget, seed):
     norm_targets = targets * weights
 
     paths = []
-    for first in range(0, B, budget.chunk):
-        idx = np.arange(first, min(first + budget.chunk, B))
+    for first in range(0, B, CHUNK):
+        idx = np.arange(first, min(first + CHUNK, B))
         idx = idx[live[idx]]
         if not len(idx):
             continue

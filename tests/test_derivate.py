@@ -102,6 +102,12 @@ def test_direction_must_be_horizontal(heis, heis_ballbox):
                  t_grid=[1e-7], ballbox=heis_ballbox)
 
 
+def test_derivate_requires_ballbox(heis):
+    with pytest.raises(InputError):
+        derivate(heis, abelianized_distance(heis), np.zeros(3),
+                 heis.algebra.from_label("X"))
+
+
 def test_left_invariance_of_estimates(heis, heis_ballbox):
     d = abelianized_distance(heis)
     v = heis.algebra.from_label("X")

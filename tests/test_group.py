@@ -136,8 +136,9 @@ def test_bch_many_and_difference(rng):
     assert np.allclose(g.bch(xs[0], d), xs[1], atol=1e-12)
 
 
-def test_jacobians_match_finite_differences(rng):
-    for algebra in (catalog.heisenberg(), catalog.engel()):
+def test_jacobians_match_finite_differences(rng, filiform):
+    # the degree-6 filiform is the only case reaching psi's A^4 term
+    for algebra in (catalog.heisenberg(), catalog.engel(), filiform):
         table = BchTable(algebra)
         x = rng.standard_normal(algebra.dim)
         y = rng.standard_normal(algebra.dim)

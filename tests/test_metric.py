@@ -9,13 +9,14 @@ import pytest
 
 from carnot import catalog
 from carnot.errors import InputError, UnreachableError
-from carnot.group import dilate
+from carnot.group import CarnotGroup, dilate
 from carnot.metric import (
     BallBoxConstant,
     CCSpace,
     ControlPath,
     HorizontalMetric,
     OptimizerBudget,
+    _penalty_value_grad,
     calibrate_ballbox,
     cc_lower_abelian,
     cc_lower_ballbox,
@@ -42,6 +43,21 @@ def test_horizontal_metric_validation():
         HorizontalMetric(np.array([[1.0, 0.0], [0.0, -1.0]]))  # not PD
     m = HorizontalMetric(np.diag([4.0, 1.0]))
     assert m.norm(np.array([1.0, 0.0])) == 2.0
+
+
+def test_constructors_leave_caller_arrays_writeable():
+    # the constructors freeze copies, not the arrays they were handed
+    gram = np.eye(2)
+    metric = HorizontalMetric(gram)
+    structure = np.array(catalog.heisenberg().structure)
+    algebra = catalog.GradedAlgebra("h", [2, 1], structure)
+    assert gram.flags.writeable and structure.flags.writeable
+    assert not metric.gram.flags.writeable
+    assert not algebra.structure.flags.writeable
+    gram[0, 0] = 2.0
+    structure[0, 1, 2] = 5.0
+    assert metric.gram[0, 0] == 1.0
+    assert algebra.structure[0, 1, 2] == catalog.heisenberg().structure[0, 1, 2]
 
 
 def test_radial_geodesic_distance(heis):
@@ -230,3 +246,44 @@ def test_anisotropic_metric_distance():
                             np.array([1.0, 0.0, 0.0]), budget=FAST)
     assert est.upper == pytest.approx(2.0, rel=1e-9)
     assert est.lower == pytest.approx(2.0, rel=1e-9)
+
+
+def _fold_penalty(group, gram, controls, targets, mu):
+    """The penalty objective by an explicit left-to-right product."""
+    d = gram.shape[0]
+    value = 0.0
+    for u, target in zip(controls, targets):
+        steps = np.zeros((len(u), group.dim))
+        steps[:, :d] = u
+        misfit = group.bch_many(steps) - target
+        value += np.einsum("mi,ij,mj->", u, gram, u) + mu * misfit @ misfit
+    return value
+
+
+@pytest.mark.parametrize("case", ["heisenberg", "engel", "completion",
+                                  "filiform"])
+def test_penalty_gradient_matches_finite_differences(case, filiform, rng):
+    # heisenberg takes the step-2 prefix sums, the others the product fold
+    algebra = {"heisenberg": catalog.heisenberg(), "engel": catalog.engel(),
+               "completion": catalog.heisenberg(), "filiform": filiform}[case]
+    group = CarnotGroup(algebra)
+    gram = np.array([[2.0, 0.3], [0.3, 1.0]])
+    if case == "completion":
+        gram = np.eye(algebra.dim)
+        gram[:2, :2] = [[2.0, 0.3], [0.3, 1.0]]
+    controls = 0.5 * rng.standard_normal((2, 5, gram.shape[0]))
+    targets = rng.standard_normal((2, algebra.dim))
+    mu = 10.0
+    value, grad = _penalty_value_grad(group, gram, controls, targets, mu)
+    assert value == pytest.approx(
+        _fold_penalty(group, gram, controls, targets, mu), rel=1e-12)
+    h = 1e-6
+    fd = np.zeros_like(controls)
+    for idx in np.ndindex(*controls.shape):
+        step = np.zeros_like(controls)
+        step[idx] = h
+        fd[idx] = (_fold_penalty(group, gram, controls + step, targets, mu)
+                   - _fold_penalty(group, gram, controls - step, targets, mu)
+                   ) / (2 * h)
+    np.testing.assert_allclose(grad, fd, rtol=1e-6,
+                               atol=1e-6 * np.max(np.abs(fd)))
