@@ -3,7 +3,7 @@
 The layers, bottom up:
 
 * ``algebra``: structure-constant graded Lie algebras and verification.
-* ``group``: exact truncated BCH arithmetic in exponential coordinates.
+* ``group``: exact BCH arithmetic (Baker's integral) in exponential coordinates.
 * ``metric``: certified two-sided Carnot-Caratheodory distance bounds.
 * ``measure``: Monte-Carlo ball volumes, dimension fits, End/Box samplers.
 * ``derivate``: derivates of Lipschitz distances, the spread.

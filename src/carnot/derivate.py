@@ -324,8 +324,8 @@ def check_homogeneity(base: DerivateEstimate, scaled: dict) -> dict:
     for tau, est in scaled.items():
         rho = 0.5 * (est.rho_lower + est.rho_upper)
         report["residuals"][tau] = abs(rho - abs(tau) * rho_base)
-    if -1 in scaled or -1.0 in scaled:
-        est = scaled.get(-1, scaled.get(-1.0))
+    if -1 in scaled:
+        est = scaled[-1]
         rho = 0.5 * (est.rho_lower + est.rho_upper)
         report["symmetry_residual"] = abs(rho - rho_base)
     return report

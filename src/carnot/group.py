@@ -2,10 +2,15 @@
 
 Elements of a simply connected nilpotent group are identified with their
 exponential coordinates, so an element is just a coefficient vector and
-the group product is the (finitely truncated) BCH series.  The series is
-precompiled per algebra into a flat list of (coefficient, word) terms
-where a word is a tuple over {0, 1} (0 = left factor, 1 = right factor)
-evaluated as a left-normed nested bracket.  Truncation at the nilpotency
+the group product is log(e^x e^y).  It is computed from Baker's integral
+form of the BCH formula,
+
+    log(e^x e^y) = x + int_0^1 L(e^{ad x} e^{t ad y}) y dt,
+    L(u) = u log u / (u - 1),
+
+where e^{ad x} e^{t ad y} - I is nilpotent, so every series involved is
+a finite polynomial and the integrand a polynomial in t that Gauss-
+Legendre quadrature integrates exactly.  Truncation at the nilpotency
 degree is exact, so products of arbitrarily far apart elements need no
 special handling.
 
@@ -13,14 +18,11 @@ Derivatives of the product come in closed form from the derivative of
 exp: with psi(A) = A / (1 - e^{-A}) and phi(A) = (1 - e^{-A}) / A, both
 truncated at the nilpotency degree, z = bch(x, y) has Jacobians
 psi(-ad z) phi(-ad x) and psi(ad z) phi(ad y).  ``horner`` applies such
-a matrix series to row vectors, which is how the path optimizer pulls
-gradients back without forming Jacobians.
+a matrix series to row vectors; the product, the Jacobians and the path
+optimizer's gradient all go through it.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -29,93 +31,43 @@ from .errors import InputError
 
 MAX_BCH_ORDER = 6
 
-# Taylor coefficients of the derivative-of-exp series up to A^5, enough
-# for ad-nilpotent arguments of degree <= MAX_BCH_ORDER:
-# psi(A) = A / (1 - e^{-A}), phi(A) = (1 - e^{-A}) / A and e^A.
+# Taylor coefficients up to A^5, enough for nilpotent arguments of
+# degree <= MAX_BCH_ORDER: psi(A) = A / (1 - e^{-A}),
+# phi(A) = (1 - e^{-A}) / A, e^A and L(1 + A) = (1 + A) log(1 + A) / A.
 PSI = (1.0, 1 / 2, 1 / 12, 0.0, -1 / 720, 0.0)
 PHI = (1.0, -1 / 2, 1 / 6, -1 / 24, 1 / 120, -1 / 720)
 EXP = (1.0, 1.0, 1 / 2, 1 / 6, 1 / 24, 1 / 120)
-
-
-@lru_cache(maxsize=None)
-def dynkin_word_coefficients(order):
-    """Coefficients of the BCH series as left-normed bracket words.
-
-    Returns a dict mapping words (tuples over {0, 1}, 0 = X, 1 = Y) of
-    length <= order to exact Fraction coefficients, such that
-
-        log(e^X e^Y) = sum_w  coeff[w] * [w_1, [w_2, [..., w_m]...]]
-
-    modulo brackets of depth > order.  Words whose left-normed bracket
-    vanishes identically (repeated trailing letter) are dropped.
-    """
-    if order > MAX_BCH_ORDER:
-        raise InputError(
-            f"BCH coefficients only tabulated up to order {MAX_BCH_ORDER}"
-        )
-    coeffs = {}
-
-    def _fact(m):
-        out = 1
-        for i in range(2, m + 1):
-            out *= i
-        return out
-
-    def recurse(blocks, remaining):
-        for p in range(remaining + 1):
-            for q in range(remaining - p + 1):
-                if p + q == 0:
-                    continue
-                new_blocks = blocks + ((p, q),)
-                _emit(new_blocks)
-                recurse(new_blocks, remaining - p - q)
-
-    def _emit(blocks):
-        word = ()
-        denom = 1
-        for p, q in blocks:
-            word += (0,) * p + (1,) * q
-            denom *= _fact(p) * _fact(q)
-        n = len(blocks)
-        term = Fraction((-1) ** (n - 1), n) * Fraction(1, len(word) * denom)
-        coeffs[word] = coeffs.get(word, Fraction(0)) + term
-
-    recurse((), order)
-
-    pruned = {}
-    for word, coeff in coeffs.items():
-        if coeff == 0:
-            continue
-        if len(word) >= 2 and word[-1] == word[-2]:
-            continue  # innermost bracket [a, a] = 0
-        pruned[word] = coeff
-    return pruned
+LOG = (1.0, 1 / 2, -1 / 6, 1 / 12, -1 / 20, 1 / 30)
 
 
 class BchTable:
     """Precompiled BCH evaluation plan for one algebra.
 
-    The plan truncates the series at the algebra's nilpotency degree;
-    single-letter words are kept separate since they contribute x + y.
+    The plan truncates every series at the algebra's nilpotency degree D
+    and keeps the max(1, D // 2) Gauss-Legendre nodes on [0, 1] that
+    integrate Baker's integrand exactly.
     """
 
     def __init__(self, algebra: GradedAlgebra):
         self.algebra = algebra
         self.degree = nilpotency_degree(algebra)
-        order = min(self.degree, MAX_BCH_ORDER)
         if self.degree > MAX_BCH_ORDER:
             raise InputError(
                 f"{algebra.name}: nilpotency degree {self.degree} exceeds the "
                 f"tabulated BCH order {MAX_BCH_ORDER}"
             )
-        all_words = dynkin_word_coefficients(order)
-        self.bracket_terms = [
-            (float(c), w) for w, c in sorted(all_words.items()) if len(w) >= 2
-        ]
         # ad is nilpotent of this degree, so the series stop before A^degree
         self.psi = PSI[: self.degree]
         self.phi = PHI[: self.degree]
         self.exp = EXP[: self.degree]
+        self.log = LOG[: self.degree]
+        # the integrand d/dt log(e^x e^{ty}) has degree <= D - 2 in t: a
+        # term with k copies of y also holds an x, so k + 1 <= D; n nodes
+        # with 2n - 1 >= D - 2 integrate it exactly
+        n_nodes = max(1, self.degree // 2)
+        nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
+        self.nodes = (nodes + 1) / 2
+        self.weights = weights / 2
 
     def _check(self, x, y):
         x = self.algebra.vector(x)
@@ -123,16 +75,22 @@ class BchTable:
         return x, y
 
     def bch(self, x, y):
-        """The product e^x e^y = e^(x ⊛ y), batched over leading axes."""
+        """The product e^x e^y = e^(x ⊛ y), batched over leading axes.
+
+        Baker's formula x ⊛ y = x + int_0^1 L(e^{ad x} e^{t ad y}) y dt,
+        integrated exactly by the table's quadrature nodes.
+        """
         x, y = self._check(x, y)
-        z = x + y
-        c_tensor = self.algebra.structure
-        vecs = (x, y)
-        for coeff, word in self.bracket_terms:
-            val = vecs[word[-1]]
-            for letter in word[-2::-1]:
-                val = np.einsum("...i,...j,ijl->...l", vecs[letter], val, c_tensor)
-            z = z + coeff * val
+        ad = self.algebra.ad
+        eye = np.eye(self.algebra.dim)
+        ex = horner(eye, ad(x), self.exp)
+        ady = ad(y)
+        rows = y[..., None, :]
+        z = x
+        for t, w in zip(self.nodes, self.weights):
+            # horner acts on rows, so L(u) y is computed as y^T L(u^T)
+            ut = np.swapaxes(horner(ex, t * ady, self.exp) - eye, -1, -2)
+            z = z + w * horner(rows, ut, self.log)[..., 0, :]
         return z
 
     def jacobians(self, x, y):
@@ -158,7 +116,7 @@ def horner(rows, a, coeffs):
     """
     out = coeffs[-1] * rows
     for c in coeffs[-2::-1]:
-        out = np.einsum("...ri,...ij->...rj", out, a) + c * rows
+        out = out @ a + c * rows
     return out
 
 

@@ -98,7 +98,7 @@ def enclosing_box_halfwidths(space: CCSpace, ballbox: BallBoxConstant, r):
     """
     a = space.algebra
     half = np.empty(a.dim)
-    half[a.layer_slice(1)] = r / np.sqrt(space.metric._min_eig)
+    half[a.layer_slice(1)] = r / np.sqrt(space.metric.min_eig)
     for i in range(2, a.num_layers + 1):
         half[a.layer_slice(i)] = (ballbox.A * r) ** i
     return half

@@ -46,7 +46,7 @@ class HorizontalMetric:
             raise InputError("gram matrix must be positive definite")
         self.gram = gram
         self.gram.setflags(write=False)
-        self._min_eig = float(eigs[0])
+        self.min_eig = float(eigs[0])
 
     @classmethod
     def standard(cls, d1):

@@ -1,12 +1,13 @@
 """Independent oracles used to freeze expected values in the tests.
 
-These deliberately avoid the library's own BCH plan and path optimizer:
+These deliberately avoid the library's own group product and path
+optimizer:
 
 * ``UEAOracle`` builds the left regular representation of a graded
   nilpotent algebra on its universal enveloping algebra truncated at the
   weighted degree equal to the nilpotency degree.  The representation is
   faithful on the algebra, so log(expm . expm) read off against the unit
-  monomial gives the group product with no reference to the Dynkin table.
+  monomial gives the group product with no reference to Baker's integral.
 * ``min_loop_length`` solves the planar isoperimetric problem (shortest
   closed loop with prescribed signed area) on polygon vertices, which is
   the Heisenberg vertical-distance oracle.

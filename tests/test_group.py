@@ -2,10 +2,8 @@
 
 The oracle multiplies exponentials in a faithful truncated-UEA matrix
 representation and reads the product's logarithm back off the unit
-monomial, with no reference to the Dynkin word table under test.
+monomial, with no reference to the Baker integral under test.
 """
-
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,28 +15,10 @@ from carnot.group import (
     CarnotGroup,
     conjugate,
     dilate,
-    dynkin_word_coefficients,
     inverse,
 )
 
 from oracles import UEAOracle
-
-
-def test_dynkin_low_order_coefficients():
-    coeffs = dynkin_word_coefficients(2)
-    # the 1/2 [X, Y] term appears as 1/4 on (0,1) and -1/4 on (1,0)
-    assert coeffs[(0, 1)] == Fraction(1, 4)
-    assert coeffs[(1, 0)] == Fraction(-1, 4)
-    coeffs = dynkin_word_coefficients(3)
-    # left-normed packaging splits 1/12 [X,[X,Y]] over two words:
-    # coeff(0,0,1) [X,[X,Y]] + coeff(0,1,0) [X,[Y,X]]
-    assert coeffs[(0, 0, 1)] - coeffs[(0, 1, 0)] == Fraction(1, 12)
-    assert coeffs[(1, 1, 0)] - coeffs[(1, 0, 1)] == Fraction(1, 12)
-
-
-def test_dynkin_order_cap():
-    with pytest.raises(InputError):
-        dynkin_word_coefficients(7)
 
 
 def test_heisenberg_bch_exact():
@@ -59,16 +39,40 @@ def test_engel_bch_exact():
                        atol=1e-14)
 
 
+def _filiform_chain(n):
+    # [X0, Xi] = X(i+1) for 1 <= i < n - 1: nilpotency degree n - 1
+    c = np.zeros((n, n, n))
+    for i in range(1, n - 1):
+        c[0, i, i + 1] = 1.0
+        c[i, 0, i + 1] = -1.0
+    return catalog.GradedAlgebra(f"filiform{n}", [2] + [1] * (n - 2), c)
+
+
+def filiform6():
+    # degree 5: the first case that needs two quadrature nodes
+    return _filiform_chain(6)
+
+
 @pytest.mark.parametrize("maker", [catalog.heisenberg, catalog.engel,
-                                   lambda: catalog.free_step2(3)])
-def test_bch_matches_uea_oracle(maker, rng):
-    algebra = maker()
+                                   lambda: catalog.free_step2(3), filiform6,
+                                   "filiform"])
+def test_bch_matches_uea_oracle(maker, rng, request):
+    if maker == "filiform":
+        algebra = request.getfixturevalue("filiform")
+    else:
+        algebra = maker()
     oracle = UEAOracle(algebra)
     g = CarnotGroup(algebra)
     for _ in range(20):
         x = rng.standard_normal(algebra.dim)
         y = rng.standard_normal(algebra.dim)
-        assert np.allclose(g.bch(x, y), oracle.bch(x, y), atol=1e-10)
+        assert np.allclose(g.bch(x, y), oracle.bch(x, y), atol=1e-12)
+
+
+def test_abelian_bch_is_sum(rng):
+    g = CarnotGroup(catalog.abelian(3))
+    x, y = rng.standard_normal((2, 3))
+    assert np.array_equal(g.bch(x, y), x + y)
 
 
 def test_conjugation_heisenberg(rng):
@@ -164,11 +168,5 @@ def test_unit_square_loop_is_exact_commutator():
 
 def test_degree_cap_rejected():
     # a filiform chain of length 7 exceeds the tabulated BCH order
-    n = 8
-    c = np.zeros((n, n, n))
-    for i in range(1, n - 1):
-        c[0, i, i + 1] = 1.0
-        c[i, 0, i + 1] = -1.0
-    a = catalog.GradedAlgebra("filiform8", [2] + [1] * 6, c)
     with pytest.raises(InputError):
-        CarnotGroup(a)
+        CarnotGroup(_filiform_chain(8))

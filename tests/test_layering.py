@@ -1,4 +1,4 @@
-"""Layer boundaries: no carnot module imports another's private names."""
+"""Layer boundaries: no carnot module uses another's private names."""
 
 import ast
 from pathlib import Path
@@ -8,24 +8,37 @@ import carnot
 PACKAGE = Path(carnot.__file__).parent
 
 
-def _private_imports(path):
+def _is_private(name):
+    dunder = name.startswith("__") and name.endswith("__")
+    return name.startswith("_") and not dunder
+
+
+def _private_uses(path):
+    """Private names imported from carnot, or read off objects not self/cls."""
     tree = ast.parse(path.read_text(), filename=str(path))
     found = []
     for node in ast.walk(tree):
-        if not isinstance(node, ast.ImportFrom):
-            continue
-        internal = node.level > 0 or (node.module or "").split(".")[0] == "carnot"
-        if not internal:
-            continue
-        for alias in node.names:
-            if alias.name.startswith("_"):
-                found.append(f"{path.name}:{node.lineno} imports {alias.name} "
-                             f"from {'.' * node.level}{node.module or ''}")
+        if isinstance(node, ast.ImportFrom):
+            internal = (node.level > 0
+                        or (node.module or "").split(".")[0] == "carnot")
+            if not internal:
+                continue
+            for alias in node.names:
+                if _is_private(alias.name):
+                    found.append(
+                        f"{path.name}:{node.lineno} imports {alias.name} "
+                        f"from {'.' * node.level}{node.module or ''}")
+        elif isinstance(node, ast.Attribute) and _is_private(node.attr):
+            owner = node.value
+            if isinstance(owner, ast.Name) and owner.id in ("self", "cls"):
+                continue
+            found.append(f"{path.name}:{node.lineno} reads "
+                         f"{ast.unparse(owner)}.{node.attr}")
     return found
 
 
 def test_no_private_imports_across_modules():
     modules = sorted(PACKAGE.glob("*.py"))
     assert modules
-    offenders = [hit for path in modules for hit in _private_imports(path)]
+    offenders = [hit for path in modules for hit in _private_uses(path)]
     assert offenders == []
