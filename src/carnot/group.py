@@ -44,7 +44,7 @@ class BchTable:
     """Precompiled BCH evaluation plan for one algebra.
 
     The plan truncates every series at the algebra's nilpotency degree D
-    and keeps the max(1, D // 2) Gauss-Legendre nodes on [0, 1] that
+    and keeps the max(1, (D - 1) // 2) Gauss-Legendre nodes on [0, 1] that
     integrate Baker's integrand exactly.
     """
 
@@ -62,9 +62,11 @@ class BchTable:
         self.exp = EXP[: self.degree]
         self.log = LOG[: self.degree]
         # the integrand d/dt log(e^x e^{ty}) has degree <= D - 2 in t: a
-        # term with k copies of y also holds an x, so k + 1 <= D; n nodes
-        # with 2n - 1 >= D - 2 integrate it exactly
-        n_nodes = max(1, self.degree // 2)
+        # term with k copies of y also holds an x, so k + 1 <= D.  Its
+        # t^{D-2} coefficient is a multiple of the Bernoulli number
+        # B_{D-1}, which is 0 for even D, so the degree is at most
+        # 2 ((D - 1) // 2) - 1 and (D - 1) // 2 nodes integrate it exactly
+        n_nodes = max(1, (self.degree - 1) // 2)
         nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
         self.nodes = (nodes + 1) / 2
         self.weights = weights / 2
@@ -83,7 +85,10 @@ class BchTable:
         x, y = self._check(x, y)
         ad = self.algebra.ad
         eye = np.eye(self.algebra.dim)
-        ex = horner(eye, ad(x), self.exp)
+        adx = ad(x)
+        # e^{ad x} = I + ad x (1 + ad x / 2 + ...), one product fewer than
+        # Horner's rule started from the identity
+        ex = eye + horner(adx, adx, self.exp[1:]) if self.degree > 1 else eye
         ady = ad(y)
         rows = y[..., None, :]
         z = x

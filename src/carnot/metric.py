@@ -8,8 +8,9 @@ commutator-ladder path whose length is added to the bound.  The
 optimizer minimizes path energy plus a penalty on the endpoint misfit;
 the misfit's gradient is pulled back through the closed-form derivative
 of the product (``group.horner``), without per-step Jacobian matrices.
-Step-2 groups with horizontal controls only differ in how the prefix
-products are formed: they telescope into prefix sums.
+The path's prefix products are formed layer by layer: layers 1 and 2
+telescope into prefix sums on every group, and higher layers come from
+one product call per block of steps.
 
 Lower bounds come from the 1-Lipschitz abelianization quotient (exact)
 and from an empirically calibrated ball-box constant (flagged as such).
@@ -30,6 +31,8 @@ from .group import CarnotGroup, horner
 EXACT_TOL = 1e-12
 # Targets optimized together in one batch.
 CHUNK = 32768
+# Rows of one ``bch`` call forming the prefix products of a 3-layer group.
+BLOCK_ROWS = 512
 
 
 class HorizontalMetric:
@@ -158,7 +161,11 @@ class ControlPath:
         return float(np.sum(self.durations * space.metric.norm(self.controls)))
 
     def endpoint(self, space: CCSpace):
-        return path_endpoint(space, self)
+        if self.num_segments == 0:
+            return np.array(self.basepoint, dtype=float)
+        disp = (self.durations[:, None] * self.controls)[None]
+        return space.group.bch(self.basepoint,
+                               path_endpoints_batch(space.group, disp)[0])
 
     def constant_speed(self):
         """Reparametrize to constant speed; endpoint and length unchanged.
@@ -186,17 +193,6 @@ class ControlPath:
             -self.controls[::-1].copy(),
             self.endpoint(space),
         )
-
-
-def path_endpoint(space: CCSpace, path: ControlPath):
-    """basepoint * prod_j exp(duration_j * control_j), left to right."""
-    out = path.basepoint
-    if path.num_segments == 0:
-        return np.array(out, dtype=float)
-    steps = space.embed_horizontal(path.durations[:, None] * path.controls)
-    for s in steps:
-        out = space.group.bch(out, s)
-    return out
 
 
 def radial_geodesic(space: CCSpace, n, v, t):
@@ -429,25 +425,43 @@ class OptimizerBudget:
 def _prefix_endpoints(group, controls):
     """Prefix products z_0 = 0, ..., z_m of a (B, m, d) control stack.
 
-    Returns (B, m + 1, n); the controls drive the first d coordinates.
-    For step-2 groups with horizontal controls the product telescopes
-    into prefix sums; otherwise the exact product is folded step by step.
+    Returns (B, m + 1, n); the controls drive the first d coordinates of
+    the steps s_j.  The product is triangular in the layers, so each
+    layer of every prefix is formed from the layers below it: layer 1 is
+    the prefix sum of the s_{j,1}, layer 2 the telescoped sum of
+    s_{j,2} + 1/2 [z_{j-1,1}, s_{j,1}], and layers >= 3 come from one
+    ``bch`` call per block of q steps.  Layer 3 of a product needs only
+    layers 1 and 2 of its factors, so on 3-layer groups a block spans up
+    to ``BLOCK_ROWS`` rows; above that each step needs the complete
+    previous prefix, and q = 1.
     """
     B, m, d = controls.shape
-    z = np.zeros((B, m + 1, group.dim))
-    if group.table.degree <= 2 and d == group.algebra.layer_dims[0]:
-        # z_j = (S_j, 1/2 sum_{i <= j} [S_{i-1}, u_i]) with S the prefix sums
-        c2 = group.algebra.structure[:d, :d, d:]
-        cum = np.cumsum(controls, axis=1)
-        z[:, 1:, :d] = cum
-        z[:, 1:, d:] = 0.5 * np.cumsum(
-            np.einsum("bmi,bmj,ijl->bml", cum - controls, controls, c2), axis=1
-        )
-    else:
-        step = np.zeros((B, group.dim))
-        for j in range(m):
-            step[:, :d] = controls[:, j]
-            z[:, j + 1] = group.bch(z[:, j], step)
+    algebra = group.algebra
+    dims, n = algebra.layer_dims, group.dim
+    d1, top = dims[0], sum(dims[:2])  # layers 1 and 2 end at top
+    z = np.zeros((B, m + 1, n))
+    cum = np.cumsum(controls[..., :top], axis=1)
+    z[:, 1:, : cum.shape[-1]] = cum
+    if len(dims) > 1:
+        # the bracket [z_{j-1,1}, s_{j,1}] as (z_{j-1,1} c) s_{j,1}, with c
+        # the layer-1 x layer-1 -> layer-2 structure constants
+        u = controls[..., :d1]
+        c = algebra.structure[:d1, :d1, d1:top].reshape(d1, -1)
+        zc = ((cum[..., :d1] - u).reshape(-1, d1) @ c).reshape(B, m, d1, -1)
+        z[:, 1:, d1:top] += 0.5 * np.cumsum(
+            np.einsum("bmjl,bmj->bml", zc, u), axis=1)
+    if len(dims) > 2:
+        q = 1 if len(dims) > 3 else int(np.clip(BLOCK_ROWS // B, 1, m))
+        steps = np.zeros((B, q, n))
+        for j0 in range(0, m, q):
+            k = min(q, m - j0)
+            steps[:, :k, :d] = controls[:, j0:j0 + k]
+            # the block's rows after z_{j0} hold no layers >= 3 yet, so
+            # the layers >= 3 of their products are increments that add up
+            ends = group.bch(z[:, j0:j0 + k].reshape(-1, n),
+                             steps[:, :k].reshape(-1, n))
+            np.cumsum(ends.reshape(B, k, n)[..., top:], axis=1,
+                      out=z[:, j0 + 1:j0 + k + 1, top:])
     return z
 
 

@@ -1,0 +1,28 @@
+"""The benchmark's tracer finds every carnot entry point it wraps.
+
+``perfbench/spans.py`` patches carnot from outside, by name and call
+shape, so a renamed function or a changed call breaks only traced
+benchmark runs.  One traced ball volume checks that the spans are
+recorded and that every patched name is restored.
+"""
+
+import sys
+from pathlib import Path
+
+from carnot import measure
+
+sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
+from spans import Tracer  # noqa: E402
+
+
+def test_tracer_spans_ball_volume(heis, heis_ballbox):
+    tracer = Tracer()
+    tracer.install()
+    try:
+        measure.ball_volume(heis, heis_ballbox, 1.0, 200, seed=0)
+    finally:
+        left = tracer.uninstall()
+    assert left == []
+    names = {span.name for span in tracer.spans}
+    assert {"measure.ball_volume", "metric.cc_upper", "metric.close_defect",
+            "group.bch"} <= names

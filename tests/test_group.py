@@ -48,14 +48,19 @@ def _filiform_chain(n):
     return catalog.GradedAlgebra(f"filiform{n}", [2] + [1] * (n - 2), c)
 
 
+def filiform5():
+    # degree 4: the integrand's t^2 term vanishes, so one node is exact
+    return _filiform_chain(5)
+
+
 def filiform6():
     # degree 5: the first case that needs two quadrature nodes
     return _filiform_chain(6)
 
 
 @pytest.mark.parametrize("maker", [catalog.heisenberg, catalog.engel,
-                                   lambda: catalog.free_step2(3), filiform6,
-                                   "filiform"])
+                                   lambda: catalog.free_step2(3), filiform5,
+                                   filiform6, "filiform"])
 def test_bch_matches_uea_oracle(maker, rng, request):
     if maker == "filiform":
         algebra = request.getfixturevalue("filiform")

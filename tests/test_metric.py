@@ -17,6 +17,7 @@ from carnot.metric import (
     HorizontalMetric,
     OptimizerBudget,
     _penalty_value_grad,
+    _prefix_endpoints,
     calibrate_ballbox,
     cc_lower_abelian,
     cc_lower_ballbox,
@@ -25,7 +26,6 @@ from carnot.metric import (
     close_defect_batch,
     estimate_distance,
     lower_bounds_batch,
-    path_endpoint,
     radial_geodesic,
 )
 
@@ -83,8 +83,9 @@ def test_vertical_distance_matches_isoperimetric_oracle(heis):
 
 
 def test_witness_is_feasible(heis, engel_space, rng):
-    # Heisenberg takes the step-2 shortcut, Engel the general step-3 fold;
-    # both run through the core behind cc_upper_batch
+    # Heisenberg forms its prefix products from layers 1-2 alone, Engel
+    # also from a layer-3 product call; both run through the core behind
+    # cc_upper_batch
     for space in (heis, engel_space):
         n = space.algebra.dim
         x = np.zeros(n)
@@ -260,10 +261,40 @@ def _fold_penalty(group, gram, controls, targets, mu):
     return value
 
 
+@pytest.mark.parametrize("case", ["heisenberg", "engel", "free2-3", "abelian3",
+                                  "filiform6", "filiform"])
+@pytest.mark.parametrize("full", [False, True], ids=["horizontal", "full"])
+def test_prefix_endpoints_match_bch_fold(case, full, filiform, rng):
+    if case == "filiform6":
+        # the degree-6 chain's quotient by its top layer: degree 5
+        algebra = catalog.GradedAlgebra(case, [2, 1, 1, 1, 1],
+                                        filiform.structure[:6, :6, :6])
+    elif case == "filiform":
+        algebra = filiform
+    else:
+        algebra = catalog.get(case)
+    group = CarnotGroup(algebra)
+    d = algebra.dim if full else algebra.layer_dims[0]
+    # blocks of q = m, 1 < q < m with a short last block, and q = 1
+    for B, m in [(1, 1), (2, 12), (50, 12), (600, 7)]:
+        controls = 0.5 * rng.standard_normal((B, m, d))
+        z = _prefix_endpoints(group, controls)
+        fold = np.zeros((B, algebra.dim))
+        np.testing.assert_array_equal(z[:, 0], fold)
+        for j in range(m):
+            step = np.zeros((B, algebra.dim))
+            step[:, :d] = controls[:, j]
+            fold = group.bch(fold, step)
+            np.testing.assert_allclose(z[:, j + 1], fold, rtol=1e-12,
+                                       atol=1e-12 * np.max(np.abs(fold)))
+
+
 @pytest.mark.parametrize("case", ["heisenberg", "engel", "completion",
                                   "filiform"])
 def test_penalty_gradient_matches_finite_differences(case, filiform, rng):
-    # heisenberg takes the step-2 prefix sums, the others the product fold
+    # heisenberg needs only the telescoped layers 1-2, engel blocks its
+    # layer-3 product calls, the completion has full-coordinate controls and
+    # the degree-6 filiform takes one product call per step
     algebra = {"heisenberg": catalog.heisenberg(), "engel": catalog.engel(),
                "completion": catalog.heisenberg(), "filiform": filiform}[case]
     group = CarnotGroup(algebra)
