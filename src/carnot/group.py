@@ -85,10 +85,7 @@ class BchTable:
         x, y = self._check(x, y)
         ad = self.algebra.ad
         eye = np.eye(self.algebra.dim)
-        adx = ad(x)
-        # e^{ad x} = I + ad x (1 + ad x / 2 + ...), one product fewer than
-        # Horner's rule started from the identity
-        ex = eye + horner(adx, adx, self.exp[1:]) if self.degree > 1 else eye
+        ex = horner(eye, ad(x), self.exp)
         ady = ad(y)
         rows = y[..., None, :]
         z = x

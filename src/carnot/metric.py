@@ -10,7 +10,8 @@ the misfit's gradient is pulled back through the closed-form derivative
 of the product (``group.horner``), without per-step Jacobian matrices.
 The path's prefix products are formed layer by layer: layers 1 and 2
 telescope into prefix sums on every group, and higher layers come from
-one product call per block of steps.
+one product call per block of steps (a block of one step forms every
+layer).
 
 Lower bounds come from the 1-Lipschitz abelianization quotient (exact)
 and from an empirically calibrated ball-box constant (flagged as such).
@@ -31,7 +32,9 @@ from .group import CarnotGroup, horner
 EXACT_TOL = 1e-12
 # Targets optimized together in one batch.
 CHUNK = 32768
-# Rows of one ``bch`` call forming the prefix products of a 3-layer group.
+# Rows of one ``bch`` call forming the prefix products of a 3-layer
+# group: calls of this size are past the fixed cost of a call, and
+# larger blocks made the Engel objective slower, not faster.
 BLOCK_ROWS = 512
 
 
@@ -427,31 +430,38 @@ def _prefix_endpoints(group, controls):
 
     Returns (B, m + 1, n); the controls drive the first d coordinates of
     the steps s_j.  The product is triangular in the layers, so each
-    layer of every prefix is formed from the layers below it: layer 1 is
-    the prefix sum of the s_{j,1}, layer 2 the telescoped sum of
+    layer of every prefix can be formed from the layers below it: layer 1
+    is the prefix sum of the s_{j,1}, layer 2 the telescoped sum of
     s_{j,2} + 1/2 [z_{j-1,1}, s_{j,1}], and layers >= 3 come from one
     ``bch`` call per block of q steps.  Layer 3 of a product needs only
     layers 1 and 2 of its factors, so on 3-layer groups a block spans up
     to ``BLOCK_ROWS`` rows; above that each step needs the complete
-    previous prefix, and q = 1.
+    previous prefix, and q = 1.  A block of one step forms every layer
+    of its product, so with q = 1 nothing is telescoped.
     """
     B, m, d = controls.shape
     algebra = group.algebra
     dims, n = algebra.layer_dims, group.dim
     d1, top = dims[0], sum(dims[:2])  # layers 1 and 2 end at top
+    # the block calls form the coordinates from `low` up, the telescoped
+    # sums those below it
+    if len(dims) < 3:
+        q, low = m, n
+    else:
+        q = 1 if len(dims) > 3 else min(max(BLOCK_ROWS // B, 1), m)
+        low = top if q > 1 else 0
     z = np.zeros((B, m + 1, n))
-    cum = np.cumsum(controls[..., :top], axis=1)
+    cum = np.add.accumulate(controls[..., :low], axis=1)
     z[:, 1:, : cum.shape[-1]] = cum
-    if len(dims) > 1:
-        # the bracket [z_{j-1,1}, s_{j,1}] as (z_{j-1,1} c) s_{j,1}, with c
-        # the layer-1 x layer-1 -> layer-2 structure constants
+    if low > d1:
         u = controls[..., :d1]
-        c = algebra.structure[:d1, :d1, d1:top].reshape(d1, -1)
-        zc = ((cum[..., :d1] - u).reshape(-1, d1) @ c).reshape(B, m, d1, -1)
-        z[:, 1:, d1:top] += 0.5 * np.cumsum(
-            np.einsum("bmjl,bmj->bml", zc, u), axis=1)
-    if len(dims) > 2:
-        q = 1 if len(dims) > 3 else int(np.clip(BLOCK_ROWS // B, 1, m))
+        layer2 = 0.5 * np.add.accumulate(np.einsum(
+            "bmi,bmj,ijl->bml", cum[..., :d1] - u, u,
+            algebra.structure[:d1, :d1, d1:top]), axis=1)
+        if d > d1:
+            layer2 += cum[..., d1:]
+        z[:, 1:, d1:top] = layer2
+    if low < n:
         steps = np.zeros((B, q, n))
         for j0 in range(0, m, q):
             k = min(q, m - j0)
@@ -460,8 +470,11 @@ def _prefix_endpoints(group, controls):
             # the layers >= 3 of their products are increments that add up
             ends = group.bch(z[:, j0:j0 + k].reshape(-1, n),
                              steps[:, :k].reshape(-1, n))
-            np.cumsum(ends.reshape(B, k, n)[..., top:], axis=1,
-                      out=z[:, j0 + 1:j0 + k + 1, top:])
+            if k > 1:
+                np.add.accumulate(ends.reshape(B, k, n)[..., low:], axis=1,
+                                  out=z[:, j0 + 1:j0 + k + 1, low:])
+            else:
+                z[:, j0 + 1, low:] = ends[:, low:]
     return z
 
 

@@ -275,8 +275,9 @@ def test_prefix_endpoints_match_bch_fold(case, full, filiform, rng):
         algebra = catalog.get(case)
     group = CarnotGroup(algebra)
     d = algebra.dim if full else algebra.layer_dims[0]
-    # blocks of q = m, 1 < q < m with a short last block, and q = 1
-    for B, m in [(1, 1), (2, 12), (50, 12), (600, 7)]:
+    # blocks of q = m, 1 < q < m with a short last block of two steps or
+    # of one, and q = 1
+    for B, m in [(1, 1), (2, 12), (50, 12), (50, 11), (600, 7)]:
         controls = 0.5 * rng.standard_normal((B, m, d))
         z = _prefix_endpoints(group, controls)
         fold = np.zeros((B, algebra.dim))
