@@ -4,7 +4,9 @@ Horizontal targets are reached by straight lines, so upper and lower
 bounds pinch the exact answer.  The vertical direction e^Z is the
 interesting one: no horizontal straight line gets there, and the
 optimal path is a full circle whose length is sqrt(4 pi) by the
-isoperimetric inequality.
+isoperimetric inequality.  Its lower bound sqrt(2 pi) comes from Dido's
+inequality: a path of length L encloses at most L^2 / (2 pi) of area
+with its chord, which the certified constant K_2 = 1/(2 pi) records.
 """
 
 import numpy as np
@@ -13,13 +15,11 @@ from carnot import catalog
 from carnot.metric import (
     CCSpace,
     OptimizerBudget,
-    calibrate_ballbox,
     estimate_distance,
 )
 
 space = CCSpace(catalog.heisenberg())
-bb = calibrate_ballbox(space, samples=150, seed=1)
-print("ball-box constant A =", round(bb.A, 4))
+print("certified layer bounds:", space.layer_bounds().as_dict())
 print()
 
 origin = np.zeros(3)
@@ -29,8 +29,7 @@ for label, target in [
     ("generic             ", np.array([0.5, -1.0, 0.7])),
 ]:
     est = estimate_distance(space, origin, target,
-                            budget=OptimizerBudget(segments=32),
-                            ballbox=bb, seed=2)
+                            budget=OptimizerBudget(segments=32), seed=2)
     print(f"{label}: d_cc in [{est.lower:.6f}, {est.upper:.6f}]"
           f"  (lower via {est.lower_method})")
 

@@ -15,14 +15,13 @@ from carnot.divergence import (
     divergence_profile,
     obstruction_report,
 )
-from carnot.metric import CCSpace, calibrate_ballbox
+from carnot.metric import CCSpace
 
 space = CCSpace(catalog.heisenberg())
-bb = calibrate_ballbox(space, samples=150, seed=1)
 pair = GeodesicPair(v=space.algebra.from_label("X"),
                     w=space.algebra.from_label("Y"),
                     t_grid=default_t_grid(64.0))
-fit = divergence_profile(space, pair, ballbox=bb, seed=2)
+fit = divergence_profile(space, pair, seed=2)
 
 print(f"{'t':>8} {'f_lower':>10} {'f_upper':>10}")
 for t, lo, hi in fit.rows[::3]:

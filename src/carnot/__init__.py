@@ -44,6 +44,7 @@ from .metric import (
     ControlPath,
     DistanceEstimate,
     HorizontalMetric,
+    LayerBounds,
     OptimizerBudget,
     calibrate_ballbox,
     cc_lower_abelian,
@@ -83,7 +84,7 @@ __all__ = [
     "CalibrationError", "LipschitzViolation", "UnreachableError",
     "BchTable", "CarnotGroup", "conjugate", "dilate", "inverse",
     "BallBoxConstant", "CCSpace", "ControlPath", "DistanceEstimate",
-    "HorizontalMetric", "OptimizerBudget", "calibrate_ballbox",
+    "HorizontalMetric", "LayerBounds", "OptimizerBudget", "calibrate_ballbox",
     "cc_lower_abelian", "cc_lower_ballbox", "cc_upper", "estimate_distance",
     "radial_geodesic",
     "DimensionFit", "VolumeEstimate", "ball_volume", "box_ball_density",

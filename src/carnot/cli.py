@@ -124,9 +124,17 @@ def _budget_from_args(args):
 
 
 def _ballbox(space, args, seed_shift=1000):
-    samples = getattr(args, "calibration_samples", 150)
-    return calibrate_ballbox(space, samples=samples,
+    """The calibrated constant if ``--calibration-samples`` asks for one."""
+    if args.calibration_samples is None:
+        return None
+    return calibrate_ballbox(space, samples=args.calibration_samples,
                              seed=args.seed + seed_shift)
+
+
+def _bounds_doc(space, bb):
+    """Where the lower bounds of a report come from, per layer."""
+    return {"ballbox": None if bb is None else bb.as_dict(),
+            "layer_bounds": space.layer_bounds().as_dict()}
 
 
 def _resolved(args, **extra):
@@ -190,7 +198,7 @@ def cmd_distance(args):
                             seed=args.seed)
     doc = {
         "config": _resolved(args),
-        "ballbox": bb.as_dict(),
+        **_bounds_doc(space, bb),
         "estimate": est.as_dict(pair=[x.tolist(), y.tolist()]),
     }
     path = os.path.join(args.out, "distance.json")
@@ -209,7 +217,7 @@ def cmd_ball_volume(args):
         path,
         ["radius", "volume", "stderr", "samples", "seed"],
         [est.as_row()],
-        footer_json={"config": _resolved(args), "ballbox": bb.as_dict(),
+        footer_json={"config": _resolved(args), **_bounds_doc(space, bb),
                      "band_fraction": est.band_fraction},
     )
     print(f"vol(B({est.radius})) = {est.volume:.6g} "
@@ -230,7 +238,7 @@ def cmd_dimension(args):
         ["radius", "volume", "stderr", "samples", "seed"],
         [r.as_row() for r in rows],
         footer_json={"config": _resolved(args, radii=list(map(float, radii))),
-                     "ballbox": bb.as_dict(), "fit": fit.as_dict()},
+                     **_bounds_doc(space, bb), "fit": fit.as_dict()},
     )
     print(f"dimension slope = {fit.slope:.4f} "
           f"(Q = {measure_lab.homogeneous_dimension(space.algebra)}) -> {path}")
@@ -267,7 +275,8 @@ def cmd_derivate(args):
         path,
         ["t", "inf_quotient", "sup_quotient", "samples"],
         est.rows,
-        footer_json={"config": _resolved(args), "summary": est.as_dict()},
+        footer_json={"config": _resolved(args), **_bounds_doc(space, bb),
+                     "summary": est.as_dict()},
     )
     print(f"rho in [{est.rho_lower:.6g}, {est.rho_upper:.6g}] -> {path}")
     return 0
@@ -312,7 +321,7 @@ def cmd_divergence(args):
         path,
         ["t", "f_lower", "f_upper"],
         fit.rows,
-        footer_json={"config": _resolved(args), "ballbox": bb.as_dict(),
+        footer_json={"config": _resolved(args), **_bounds_doc(space, bb),
                      "fit": fit.as_dict()},
     )
     print(f"divergence exponent = {fit.exponent:.4f} "
@@ -360,6 +369,7 @@ def cmd_obstruction(args):
                                                margin=args.margin)
     doc = {
         "config": _resolved(args),
+        **_bounds_doc(space, bb),
         "carnot_fit": fit.as_dict(),
         "model_fits": [f.as_dict() for f in model_fits],
         "report": report,
@@ -386,8 +396,10 @@ def build_parser():
                        help="built-in name or JSON definition file")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--calibration-samples", type=int, default=150,
-                       help="ball-box calibration sample count")
+        p.add_argument("--calibration-samples", type=int, default=None,
+                       help="calibrate an empirical ball-box constant on this "
+                            "many samples and use it beside the certified "
+                            "per-layer bounds (default: no calibration)")
         p.set_defaults(func=fn)
         return p
 

@@ -3,8 +3,10 @@
 The reference measure is Lebesgue measure in exponential coordinates,
 which is a Haar measure for a simply connected nilpotent group.  CC-ball
 volumes are Monte-Carlo estimates over an enclosing coordinate box built
-from the calibrated ball-box constant; membership uses the certified
-upper bound, with the certified lower bound recorded to bracket the
+from the certified per-layer constants (or from a calibrated ball-box
+constant when one is passed); samples whose certified lower bound
+exceeds the radius are decided without the optimizer, membership uses
+the certified upper bound, and the lower bound brackets the
 misclassification band.
 
 Also here: the End/Box samplers (a box is an end set flowed along a
@@ -49,11 +51,6 @@ def homogeneous_dimension(a: GradedAlgebra) -> int:
     return int(sum((i + 1) * d for i, d in enumerate(a.layer_dims)))
 
 
-def dilation_jacobian_exponent(a: GradedAlgebra) -> int:
-    """Exponent of det(dh_t) = t^Q, read off the diagonal layer weights."""
-    return int(np.sum(a.layer_of))
-
-
 @dataclass
 class VolumeEstimate:
     """Monte-Carlo Lebesgue measure of one CC ball."""
@@ -88,19 +85,23 @@ class DimensionFit:
         }
 
 
-def enclosing_box_halfwidths(space: CCSpace, ballbox: BallBoxConstant, r):
-    """Per-coordinate half-widths of a box certified to contain B_cc(e^0, r).
+def enclosing_box_halfwidths(space: CCSpace, ballbox: BallBoxConstant | None,
+                             r):
+    """Per-coordinate half-widths of a box containing B_cc(e^0, r).
 
-    d_cc <= r forces the layer-i norm below (A r)^i for i >= 2; layer 1
-    is bounded by r itself through the exact abelianization bound, with
-    the metric norm converted to coordinate bounds via its smallest
-    eigenvalue.
+    d_cc <= r forces the layer-i norm below K_i r^i for i >= 2, with the
+    certified constants of ``space.layer_bounds()``, or below (A r)^i
+    when a calibrated ``BallBoxConstant`` is given (valid as far as the
+    calibration is); layer 1 is bounded by r itself through the exact
+    abelianization bound, with the metric norm converted to coordinate
+    bounds via its smallest eigenvalue.
     """
     a = space.algebra
     half = np.empty(a.dim)
     half[a.layer_slice(1)] = r / np.sqrt(space.metric.min_eig)
-    for i in range(2, a.num_layers + 1):
-        half[a.layer_slice(i)] = (ballbox.A * r) ** i
+    for i, K in enumerate(space.layer_bounds().K, start=2):
+        half[a.layer_slice(i)] = (K * r**i if ballbox is None
+                                  else (ballbox.A * r) ** i)
     return half
 
 
@@ -116,11 +117,13 @@ def certified_upper_cheap(space: CCSpace, points):
     return out
 
 
-def ball_volume(space: CCSpace, ballbox: BallBoxConstant, r, samples,
+def ball_volume(space: CCSpace, ballbox: BallBoxConstant | None, r, samples,
                 seed=0, budget=None) -> VolumeEstimate:
-    """Monte-Carlo Lebesgue volume of the CC ball of radius r at identity."""
-    if ballbox is None:
-        raise InputError("ball_volume requires a calibrated ball-box constant")
+    """Monte-Carlo Lebesgue volume of the CC ball of radius r at identity.
+
+    ``ballbox`` is an optional calibrated constant; without one the box
+    and the lower bound rest on the certified per-layer constants alone.
+    """
     samples = int(samples)
     if samples <= 0:
         raise InputError("sample budget must be positive")

@@ -14,11 +14,16 @@ one product call per block of steps (a block of one step forms every
 layer).
 
 Lower bounds come from the 1-Lipschitz abelianization quotient (exact)
-and from an empirically calibrated ball-box constant (flagged as such).
+and from certified per-layer constants K_k with |layer_k| <= K_k d_cc^k
+(``LayerBounds``): Dido's inequality on the step-2 quotient for layer 2,
+the factorial decay of a path's signature for layers >= 3.  An
+empirically calibrated ball-box constant can be passed on top; it is
+labelled "calibrated" wherever it is reported.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,6 +95,7 @@ class CCSpace:
             )
         self.metric = metric
         self._ladder = None
+        self._layer_bounds = None
 
     @property
     def d1(self):
@@ -123,6 +129,11 @@ class CCSpace:
         if self._ladder is None:
             self._ladder = LadderPlan(self)
         return self._ladder
+
+    def layer_bounds(self):
+        if self._layer_bounds is None:
+            self._layer_bounds = LayerBounds.of(self)
+        return self._layer_bounds
 
 
 # -- horizontal paths ------------------------------------------------------
@@ -217,7 +228,11 @@ def cc_lower_abelian(space: CCSpace, x, y):
 
 @dataclass
 class BallBoxConstant:
-    """Empirically calibrated constant A with sum_i |v_i|^{1/i} <= A d_cc."""
+    """Empirically calibrated constant A with sum_i |v_i|^{1/i} <= A d_cc.
+
+    Calibrated against optimizer upper bounds, so only the safety margin
+    keeps it valid; it is reported with the source "calibrated".
+    """
 
     A: float
     samples: int
@@ -232,6 +247,7 @@ class BallBoxConstant:
             "seed": self.seed,
             "safety": self.safety,
             "max_ratio": self.max_ratio,
+            "source": "calibrated",
         }
 
 
@@ -241,15 +257,81 @@ def cc_lower_ballbox(space: CCSpace, x, y, c: BallBoxConstant):
     return float(space.homogeneous_norm(delta)) / c.A
 
 
+def _log_signature_coeff(k):
+    """[x^k] of -log(2 - e^x) = 2 a(k-1) / k!, a the ordered Bell numbers."""
+    bell = [1]
+    for n in range(1, k):
+        bell.append(sum(math.comb(n, j) * bell[n - j]
+                        for j in range(1, n + 1)))
+    return 2 * bell[k - 1] / math.factorial(k)
+
+
+@dataclass(frozen=True)
+class LayerBounds:
+    """Certified constants with |layer_k(g)| <= K_k d_cc(e^0, g)^k, k >= 2.
+
+    Layer 2 ("dido"): the quotient by layers >= 3 is 1-Lipschitz and keeps
+    layers 1 and 2, where <w, z_2> is the J_w-weighted area between the
+    path and its chord, so Dido's inequality gives |z_2| <= max_w |J_w|
+    L^2 / (2 pi), J_w = sum_l w_l c[:d1, :d1, l]; the flattened structure
+    constants' spectral norm bounds max_w |J_w| (equal when d2 = 1).
+    Layers k >= 3 ("signature"): the path's signature has levels of norm
+    <= L^j / j!, so its log has level k of norm <= c_k L^k with
+    c_k = [x^k](-log(2 - e^x)), and the endpoint's layer k is T_k of that
+    level, T_k(e_w) = (1/k) [X_w1, [..., X_wk]].  Euclidean lengths are at
+    most CC lengths over sqrt(min_eig), hence the factor min_eig^(-k/2).
+    """
+
+    K: tuple        # K[i] bounds layer i + 2
+    sources: tuple  # "dido" or "signature", per layer
+
+    @classmethod
+    def of(cls, space: CCSpace):
+        a, d1 = space.algebra, space.d1
+        K, sources = [], []
+        for k in range(2, a.num_layers + 1):
+            sl = a.layer_slice(k)
+            if k == 2:
+                flat = a.structure[:d1, :d1, sl].reshape(d1, -1)
+                const, source = np.linalg.norm(flat, 2) / (2 * np.pi), "dido"
+            else:
+                cols = [_left_normed_bracket(a, w)[sl] / k
+                        for w in np.ndindex(*([d1] * k))]
+                const = (np.linalg.norm(np.array(cols).T, 2)
+                         * _log_signature_coeff(k))
+                source = "signature"
+            K.append(float(const) / space.metric.min_eig ** (k / 2))
+            sources.append(source)
+        return cls(tuple(K), tuple(sources))
+
+    def as_dict(self):
+        return {f"layer{k}": {"K": K, "source": source}
+                for k, (K, source) in enumerate(zip(self.K, self.sources),
+                                                start=2)}
+
+
 def lower_bounds_batch(space: CCSpace, deltas, ballbox=None):
-    """max(abelian, ball-box) lower bound for displacement coords (B, n)."""
-    lower = space.metric.norm(deltas[..., : space.d1])
-    method = np.zeros(lower.shape, dtype=int)  # 0 = abelian, 1 = ballbox
+    """Lower bounds of d_cc(e^0, delta) for displacement coords (B, n).
+
+    The largest of the abelianization bound, the certified per-layer
+    bounds (|z_k| / K_k)^(1/k) and, when a calibrated constant is given,
+    (1/A) sum_k |z_k|^(1/k).  ``method`` names the largest per row:
+    "abelianization", "dido", "signature" or "ball-box".
+    """
+    norms = space.layer_norms(deltas)
+    bounds = space.layer_bounds()
+    terms, labels = [norms[..., 0]], ["abelianization"]
+    for k, (K, source) in enumerate(zip(bounds.K, bounds.sources), start=2):
+        if K > 0:
+            terms.append((norms[..., k - 1] / K) ** (1.0 / k))
+            labels.append(source)
     if ballbox is not None:
-        bb = space.homogeneous_norm(deltas) / ballbox.A
-        method = (bb > lower).astype(int)
-        lower = np.maximum(lower, bb)
-    return lower, method
+        terms.append(space.homogeneous_norm(deltas) / ballbox.A)
+        labels.append("ball-box")
+    terms = np.stack(terms, axis=-1)
+    best = np.argmax(terms, axis=-1)
+    lower = np.take_along_axis(terms, best[..., None], axis=-1)[..., 0]
+    return lower, np.array(labels)[best]
 
 
 # -- commutator-ladder closure --------------------------------------------
@@ -764,13 +846,11 @@ def estimate_distance(space: CCSpace, x, y, budget=None, ballbox=None, seed=0):
     est = cc_upper(space, x, y, budget=budget, seed=seed)
     delta = space.group.difference(x, y)
     lower, method = lower_bounds_batch(space, delta[None, :], ballbox)
-    lower_method = "abelianization" if method[0] == 0 else "ball-box"
-    lower_val = float(min(lower[0], est.upper))
     return DistanceEstimate(
-        lower=lower_val,
+        lower=float(min(lower[0], est.upper)),
         upper=est.upper,
         witness=est.witness,
-        lower_method=lower_method,
+        lower_method=str(method[0]),
         upper_method=est.upper_method,
         endpoint_residual=est.endpoint_residual,
         seed=seed,

@@ -11,6 +11,10 @@ optimizer:
 * ``min_loop_length`` solves the planar isoperimetric problem (shortest
   closed loop with prescribed signed area) on polygon vertices, which is
   the Heisenberg vertical-distance oracle.
+* ``heisenberg_distance`` is the closed-form Heisenberg CC distance
+  (Montgomery, *A Tour of Subriemannian Geometries*, 2002): a shortest
+  path to (x, y, z) projects to a circular arc over the chord from 0 to
+  (x, y) enclosing signed area z (Dido's problem).
 """
 
 import itertools
@@ -128,3 +132,33 @@ def min_loop_length(area, vertices=96, seed=0):
         options={"maxiter": 500, "ftol": 1e-12},
     )
     return res.fun
+
+
+def heisenberg_distance(points):
+    """Exact CC distance from the identity to each row (x, y, z).
+
+    With r = |(x, y)| the arc's central angle phi solves
+    |z| / r^2 = (phi - sin phi) / (8 sin^2(phi / 2)), increasing on
+    (0, 2 pi), and d = r phi / (2 sin(phi / 2)); for r = 0 the arc closes
+    into a circle and d = sqrt(4 pi |z|).
+    """
+    p = np.atleast_2d(np.asarray(points, dtype=float))
+    r = np.hypot(p[:, 0], p[:, 1])
+    z = np.abs(p[:, 2])
+    out = np.sqrt(4.0 * np.pi * z)
+    planar = r > 0
+    ratio = z[planar] / r[planar] ** 2
+    lo = np.zeros_like(ratio)
+    hi = np.full_like(ratio, 2.0 * np.pi)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        safe = np.where(mid > 0, mid, 1.0)
+        area = np.where(mid > 0, (safe - np.sin(safe))
+                        / (8.0 * np.sin(safe / 2.0) ** 2), 0.0)
+        hi = np.where(area > ratio, mid, hi)
+        lo = np.where(area > ratio, lo, mid)
+    phi = 0.5 * (lo + hi)
+    safe = np.where(phi > 1e-12, phi, 1.0)
+    out[planar] = r[planar] * np.where(
+        phi > 1e-12, safe / (2.0 * np.sin(safe / 2.0)), 1.0)
+    return out

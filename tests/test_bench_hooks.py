@@ -3,7 +3,9 @@
 ``perfbench/spans.py`` patches carnot from outside, by name and call
 shape, so a renamed function or a changed call breaks only traced
 benchmark runs.  One traced ball volume checks that the spans are
-recorded and that every patched name is restored.
+recorded and that every patched name is restored; one traced round of
+the ``heis-volume`` workload checks its set-up, round, output checks and
+accuracy probe against the current code.
 """
 
 import sys
@@ -13,6 +15,7 @@ from carnot import measure
 
 sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
 from spans import Tracer  # noqa: E402
+import workloads  # noqa: E402
 
 
 def test_tracer_spans_ball_volume(heis, heis_ballbox):
@@ -26,3 +29,20 @@ def test_tracer_spans_ball_volume(heis, heis_ballbox):
     names = {span.name for span in tracer.spans}
     assert {"measure.ball_volume", "metric.cc_upper", "metric.close_defect",
             "group.bch"} <= names
+
+
+def test_heis_volume_workload_traced_round(tmp_path):
+    workload = workloads.make("heis-volume", tmp_path)
+    workload.setup(1)
+    tracer = Tracer()
+    tracer.install()
+    try:
+        rnd = workload.run_round(tracer)
+    finally:
+        left = tracer.uninstall()
+    checks = workloads.Checks()
+    workload.check_round(rnd, checks)
+    workload.accuracy([rnd], checks)
+    assert checks.failures == []
+    assert checks.attempted > 0
+    assert left == []

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from carnot import cli
 from carnot.cli import main, parse_direction, parse_grid, load_group
 from carnot.errors import InputError
 
@@ -83,6 +84,36 @@ def test_distance_report(tmp_path):
     assert est["lower"] <= est["upper"]
     assert est["witness_segments"] is not None
     assert doc["config"]["seed"] == 3
+
+
+def test_no_calibration_by_default(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("calibrate_ballbox called without the flag")
+
+    monkeypatch.setattr(cli, "calibrate_ballbox", refuse)
+    common = ["--group", "heisenberg", "--out", str(tmp_path)]
+    assert run(["distance", "--x", "0,0", "--y", "0,0,1"] + common) == 0
+    assert run(["divergence", "--v", "X", "--w", "Y", "--tmax", "4"]
+               + common) == 0
+    assert run(["derivate", "--v", "X", "--samples", "8", "--levels", "6"]
+               + common) == 0
+    layers = {"layer2": {"K": 1 / (2 * np.pi), "source": "dido"}}
+    doc = json.loads((tmp_path / "distance.json").read_text())
+    assert doc["ballbox"] is None and doc["layer_bounds"] == layers
+    assert doc["estimate"]["lower_method"] == "dido"
+    for name in ("divergence.csv", "derivate.csv"):
+        footer = json.loads((tmp_path / name).read_text().splitlines()[-1][2:])
+        assert footer["ballbox"] is None and footer["layer_bounds"] == layers
+
+
+def test_calibration_on_request(tmp_path):
+    assert run(["distance", "--group", "heisenberg", "--x", "0,0",
+                "--y", "0,0,1", "--calibration-samples", "100",
+                "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "distance.json").read_text())
+    assert doc["ballbox"]["source"] == "calibrated"
+    assert doc["ballbox"]["samples"] == 100
+    assert doc["config"]["calibration_samples"] == 100
 
 
 def test_snowflake_derivate_exit_2(tmp_path):

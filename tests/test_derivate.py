@@ -102,10 +102,15 @@ def test_direction_must_be_horizontal(heis, heis_ballbox):
                  t_grid=[1e-7], ballbox=heis_ballbox)
 
 
-def test_derivate_requires_ballbox(heis):
-    with pytest.raises(InputError):
-        derivate(heis, abelianized_distance(heis), np.zeros(3),
-                 heis.algebra.from_label("X"))
+def test_derivate_without_ballbox_samples_certified_box(heis, rng):
+    # the certified box of B(0.8) has |z| <= 0.8^2 / (2 pi)
+    pts = sample_ball(heis, np.zeros(3), 0.8, 100, rng, None)
+    assert np.all(np.abs(pts[:, 2]) <= 0.8**2 / (2 * np.pi))
+    assert np.all(certified_upper_cheap(heis, pts) <= 0.8 + 1e-12)
+    est = derivate(heis, abelianized_distance(heis), np.zeros(3),
+                   heis.algebra.from_label("X"), samples_per_t=8, seed=4)
+    assert est.rho_lower == pytest.approx(1.0, abs=1e-9)
+    assert est.rho_upper == pytest.approx(1.0, abs=1e-9)
 
 
 def test_left_invariance_of_estimates(heis, heis_ballbox):
