@@ -197,6 +197,10 @@ def test_layer_bound_constants():
     assert engel.K == pytest.approx((1 / (2 * np.pi), np.sqrt(2) / 3), rel=1e-15)
     assert engel.as_dict()["layer3"] == {"K": engel.K[1],
                                          "source": "signature"}
+    lower, method = lower_bounds_batch(CCSpace(catalog.engel()),
+                                       np.array([[0.0, 0.0, 0.0, 1.0]]))
+    assert method.tolist() == ["signature"]
+    assert lower[0] == pytest.approx(engel.K[1] ** (-1 / 3), rel=1e-15)
     scaled = CCSpace(catalog.heisenberg(), HorizontalMetric(np.eye(2) / 4))
     assert scaled.layer_bounds().K[0] == pytest.approx(4 / (2 * np.pi))
     assert CCSpace(catalog.abelian(2)).layer_bounds().K == ()
