@@ -51,7 +51,6 @@ from .metric import (
     cc_lower_ballbox,
     cc_upper,
     estimate_distance,
-    radial_geodesic,
 )
 from .derivate import (
     BoxSpec,
@@ -86,7 +85,6 @@ __all__ = [
     "BallBoxConstant", "CCSpace", "ControlPath", "DistanceEstimate",
     "HorizontalMetric", "LayerBounds", "OptimizerBudget", "calibrate_ballbox",
     "cc_lower_abelian", "cc_lower_ballbox", "cc_upper", "estimate_distance",
-    "radial_geodesic",
     "DimensionFit", "VolumeEstimate", "ball_volume", "box_ball_density",
     "fit_dimension", "homogeneous_dimension",
     "BoxSpec", "DerivateEstimate", "LipschitzDistance", "cc_distance",

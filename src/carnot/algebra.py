@@ -6,6 +6,10 @@ dimensions.  Basis indices are 0-based and layers occupy contiguous index
 ranges in declared order, so layer projection is plain slicing.  Vectors
 are ordinary numpy arrays of length ``dim``; a vector doubles as the
 exponential coordinates of a group element.
+
+Brackets are computed from the nonzero structure constants alone
+(``BracketKernel``): Heisenberg has 2 of 27, Engel 4 of 64, so a bracket
+or a row times ad(x) is a few multiplies per row, not an n x n matrix.
 """
 
 from __future__ import annotations
@@ -53,8 +57,7 @@ class GradedAlgebra:
         self.layer_dims = tuple(layer_dims)
         self.structure = structure
         self.structure.setflags(write=False)
-        # ad(x)[l, j] = sum_i x_i c[i, j, l], as one matmul against (n, n*n)
-        self._ad_table = structure.transpose(0, 2, 1).reshape(n, n * n)
+        self.kernel = BracketKernel(structure)
         if labels is None:
             labels = [f"e{i}" for i in range(n)]
         if len(labels) != n:
@@ -127,15 +130,57 @@ class GradedAlgebra:
         """Lie bracket of coefficient vectors (batched over leading axes)."""
         x = self.vector(x)
         y = self.vector(y)
-        return np.einsum("...i,...j,ijl->...l", x, y, self.structure)
-
-    def ad(self, x):
-        """Matrix of ad(x): v -> [x, v], batched over leading axes of x."""
-        x = self.vector(x)
-        return (x @ self._ad_table).reshape(x.shape[:-1] + (self.dim, self.dim))
+        return self.kernel.bracket(self.kernel.factor(x), y)
 
     def __repr__(self):
         return f"GradedAlgebra({self.name!r}, layers={self.layer_dims})"
+
+
+class BracketKernel:
+    """The nonzero structure constants c_k = c[i_k, j_k, l_k] as GEMM operands.
+
+    With 0/1 selection matrices S_i, S_j, S_l ((n, K), column k picks
+    index i_k, j_k or l_k) and coefficient matrices R_l, R_j ((K, n), row
+    k holds c_k at l_k or j_k):
+
+        [x, w]   = ((x @ S_i) * (w @ S_j)) @ R_l,
+        v ad(x)  = ((x @ S_i) * (v @ S_l)) @ R_j.
+
+    ``factor(x) = x @ S_i`` is formed once and reused for every bracket
+    with x in a series.  Every step is one ``np.dot`` against a small
+    matrix; a (rows, n) stack is one GEMM, so hot callers flatten their
+    batches to two dimensions.  ``structure`` may be any (n_i, n_j, n_l)
+    block of an algebra's constants, e.g. layer 1 x layer 1 -> layer 2.
+    """
+
+    def __init__(self, structure):
+        structure = np.asarray(structure, dtype=float)
+        i, j, l = np.nonzero(structure)
+        coeffs = structure[i, j, l]
+        cols = np.arange(len(coeffs))
+        n_i, n_j, n_l = structure.shape
+        self.si, self.sj, self.sl = (np.zeros((n, len(cols)))
+                                     for n in (n_i, n_j, n_l))
+        self.si[i, cols] = self.sj[j, cols] = self.sl[l, cols] = 1.0
+        self.rl = np.zeros((len(cols), n_l))
+        self.rl[cols, l] = coeffs
+        self.rj = np.zeros((len(cols), n_j))
+        self.rj[cols, j] = coeffs
+
+    def factor(self, x):
+        """x @ S_i, batched: x's coefficient on each nonzero constant.
+
+        x may hold only its first coordinates; the rest are taken as 0.
+        """
+        return np.dot(x, self.si[: x.shape[-1]])
+
+    def bracket(self, xs, w):
+        """[x, w] from x's factor ``xs``, batched over leading axes."""
+        return np.dot(xs * np.dot(w, self.sj), self.rl)
+
+    def coadjoint(self, xs, v):
+        """The row action v ad(x) from x's factor ``xs``, batched."""
+        return np.dot(xs * np.dot(v, self.sl), self.rj)
 
 
 # -- structural verification ---------------------------------------------

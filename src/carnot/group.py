@@ -14,19 +14,23 @@ Legendre quadrature integrates exactly.  Truncation at the nilpotency
 degree is exact, so products of arbitrarily far apart elements need no
 special handling.
 
-Derivatives of the product come in closed form from the derivative of
-exp: with psi(A) = A / (1 - e^{-A}) and phi(A) = (1 - e^{-A}) / A, both
-truncated at the nilpotency degree, z = bch(x, y) has Jacobians
-psi(-ad z) phi(-ad x) and psi(ad z) phi(ad y).  ``horner`` applies such
-a matrix series to row vectors; the product, the Jacobians and the path
-optimizer's gradient all go through it.
+No ad matrix is formed.  The integrand is applied to y as a chain of
+brackets, and the series act on row vectors through the coadjoint row
+action v -> v ad(x); both come from the algebra's ``BracketKernel``,
+which touches only the nonzero structure constants.  Derivatives of the
+product come in closed form from the derivative of exp: with
+psi(A) = A / (1 - e^{-A}) and phi(A) = (1 - e^{-A}) / A, both truncated
+at the nilpotency degree, z = bch(x, y) has Jacobians
+psi(-ad z) phi(-ad x) and psi(ad z) phi(ad y).  ``row_series`` applies
+such a series to rows by Horner's rule; the Jacobians and the path
+optimizer's gradient go through it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .algebra import GradedAlgebra, nilpotency_degree
+from .algebra import BracketKernel, GradedAlgebra, nilpotency_degree
 from .errors import InputError
 
 MAX_BCH_ORDER = 6
@@ -43,9 +47,10 @@ LOG = (1.0, 1 / 2, -1 / 6, 1 / 12, -1 / 20, 1 / 30)
 class BchTable:
     """Precompiled BCH evaluation plan for one algebra.
 
-    The plan truncates every series at the algebra's nilpotency degree D
-    and keeps the max(1, (D - 1) // 2) Gauss-Legendre nodes on [0, 1] that
-    integrate Baker's integrand exactly.
+    The plan truncates every series at the algebra's nilpotency degree D,
+    keeps the max(1, (D - 1) // 2) Gauss-Legendre nodes on [0, 1] that
+    integrate Baker's integrand exactly, and holds the bracket kernel of
+    the layer-1 x layer-1 -> layer-2 block for the path prefix sums.
     """
 
     def __init__(self, algebra: GradedAlgebra):
@@ -56,11 +61,13 @@ class BchTable:
                 f"{algebra.name}: nilpotency degree {self.degree} exceeds the "
                 f"tabulated BCH order {MAX_BCH_ORDER}"
             )
-        # ad is nilpotent of this degree, so the series stop before A^degree
-        self.psi = PSI[: self.degree]
-        self.phi = PHI[: self.degree]
+        # ad is nilpotent of this degree, so the series stop before A^degree;
+        # trailing zero coefficients would only cost kernel steps
+        self.psi = _trim(PSI[: self.degree])
+        self.phi = _trim(PHI[: self.degree])
         self.exp = EXP[: self.degree]
-        self.log = LOG[: self.degree]
+        # L's A^1 term multiplies A y, which is 0 on an abelian algebra
+        self.log = LOG[: max(self.degree, 2)]
         # the integrand d/dt log(e^x e^{ty}) has degree <= D - 2 in t: a
         # term with k copies of y also holds an x, so k + 1 <= D.  Its
         # t^{D-2} coefficient is a multiple of the Bernoulli number
@@ -70,6 +77,9 @@ class BchTable:
         nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
         self.nodes = (nodes + 1) / 2
         self.weights = weights / 2
+        d1 = algebra.layer_dims[0]
+        top = sum(algebra.layer_dims[:2])
+        self.layer2 = BracketKernel(algebra.structure[:d1, :d1, d1:top])
 
     def _check(self, x, y):
         x = self.algebra.vector(x)
@@ -80,19 +90,26 @@ class BchTable:
         """The product e^x e^y = e^(x ⊛ y), batched over leading axes.
 
         Baker's formula x ⊛ y = x + int_0^1 L(e^{ad x} e^{t ad y}) y dt,
-        integrated exactly by the table's quadrature nodes.
+        integrated exactly by the table's quadrature nodes.  With
+        A = e^{ad x} e^{t ad y} - I, the powers p_k = A^k y lie in the
+        k-th term of the lower central series, so A p_{k-1} needs the
+        exponential series only up to ad^(D - k), and e^{t ad y} y = y
+        makes A y = (e^{ad x} - I) y the same at every node.
         """
         x, y = self._check(x, y)
-        ad = self.algebra.ad
-        eye = np.eye(self.algebra.dim)
-        ex = horner(eye, ad(x), self.exp)
-        ady = ad(y)
-        rows = y[..., None, :]
+        kernel = self.algebra.kernel
+        xs, ys = kernel.factor(x), kernel.factor(y)
+        ay = _expm1(kernel, xs, y, self.degree - 1)
         z = x
         for t, w in zip(self.nodes, self.weights):
-            # horner acts on rows, so L(u) y is computed as y^T L(u^T)
-            ut = np.swapaxes(horner(ex, t * ady, self.exp) - eye, -1, -2)
-            z = z + w * horner(rows, ut, self.log)[..., 0, :]
+            tys = t * ys
+            p = ay
+            integrand = y + self.log[1] * ay
+            for k in range(2, self.degree):
+                g = _expm1(kernel, tys, p, self.degree - k)
+                p = _expm1(kernel, xs, p + g, self.degree - k) + g
+                integrand = integrand + self.log[k] * p
+            z = z + w * integrand
         return z
 
     def jacobians(self, x, y):
@@ -100,25 +117,56 @@ class BchTable:
 
         Each is an (..., n, n) array with J[..., l, j] = d z_l / d x_j.
         With z = bch(x, y), J_x = psi(-ad z) phi(-ad x) and
-        J_y = psi(ad z) phi(ad y) (derivative of exp).
+        J_y = psi(ad z) phi(ad y) (derivative of exp), formed by the
+        row action on the identity's rows.
         """
         x, y = self._check(x, y)
-        ad = self.algebra.ad
-        adz = ad(self.bch(x, y))
-        eye = np.broadcast_to(np.eye(self.algebra.dim), adz.shape)
-        jx = horner(horner(eye, -adz, self.psi), ad(-x), self.phi)
-        jy = horner(horner(eye, adz, self.psi), ad(y), self.phi)
-        return jx, jy
+        n = self.algebra.dim
+        shape = np.broadcast_shapes(x.shape, y.shape)
+        x, y = (np.broadcast_to(v, shape).reshape(-1, n) for v in (x, y))
+        kernel = self.algebra.kernel
+        # one row of the identity per row of the batch, as a 2-D stack
+        eye = np.tile(np.eye(n), (len(x), 1))
+        zf = kernel.factor(self.bch(x, y))
+        jacs = []
+        for v, sign in ((x, -1.0), (y, 1.0)):
+            zs = np.repeat(sign * zf, n, axis=0)
+            vs = np.repeat(kernel.factor(sign * v), n, axis=0)
+            rows = row_series(kernel, row_series(kernel, eye, zs, self.psi),
+                              vs, self.phi)
+            jacs.append(rows.reshape(shape + (n,)))
+        return tuple(jacs)
 
 
-def horner(rows, a, coeffs):
-    """rows @ sum_k coeffs[k] a^k by Horner's rule, batched.
+def _trim(coeffs):
+    """``coeffs`` without trailing zeros."""
+    while coeffs[-1] == 0:
+        coeffs = coeffs[:-1]
+    return coeffs
 
-    ``rows`` is (..., r, n) and ``a`` is (..., n, n).
+
+def _expm1(kernel, xs, p, q):
+    """(e^{ad x} - I) p = sum_{r=1}^{q} ad(x)^r p / r! by Horner's rule.
+
+    ``xs`` is x's kernel factor; p is nested q brackets deep at most.
+    """
+    h = p
+    for r in range(q, 1, -1):
+        h = p + kernel.bracket(xs, h) / r
+    return kernel.bracket(xs, h)
+
+
+def row_series(kernel, rows, xs, coeffs):
+    """rows sum_k coeffs[k] ad(x)^k by Horner's rule, batched.
+
+    ``xs`` is x's kernel factor and broadcasts against ``rows``; a zero
+    coefficient costs no add.
     """
     out = coeffs[-1] * rows
     for c in coeffs[-2::-1]:
-        out = out @ a + c * rows
+        out = kernel.coadjoint(xs, out)
+        if c:
+            out = out + c * rows
     return out
 
 

@@ -7,11 +7,13 @@ optimizer's endpoint defect, which is closed exactly by an explicit
 commutator-ladder path whose length is added to the bound.  The
 optimizer minimizes path energy plus a penalty on the endpoint misfit;
 the misfit's gradient is pulled back through the closed-form derivative
-of the product (``group.horner``), without per-step Jacobian matrices.
-The path's prefix products are formed layer by layer: layers 1 and 2
-telescope into prefix sums on every group, and higher layers come from
-one product call per block of steps (a block of one step forms every
-layer).
+of the product (``group.row_series``, the coadjoint action of the
+algebra's sparse bracket kernel on rows), without per-step Jacobian or
+ad matrices.  The path's prefix products are formed layer by layer:
+layers 1 and 2 telescope into prefix sums on every group (layer 2 through
+the kernel of the layer-1 x layer-1 -> layer-2 brackets), and higher
+layers come from one product call per block of steps (a block of one
+step forms every layer).
 
 Lower bounds come from the 1-Lipschitz abelianization quotient (exact)
 and from certified per-layer constants K_k with |layer_k| <= K_k d_cc^k
@@ -31,7 +33,7 @@ from scipy.optimize import minimize
 
 from .algebra import GradedAlgebra
 from .errors import CalibrationError, InputError, OptimizerFailure, UnreachableError
-from .group import CarnotGroup, horner
+from .group import CarnotGroup, row_series
 
 # Coordinate residual below which an endpoint counts as exact.
 EXACT_TOL = 1e-12
@@ -69,10 +71,10 @@ class HorizontalMetric:
 
     def norm(self, u):
         u = np.asarray(u, dtype=float)
-        return np.sqrt(np.einsum("...i,ij,...j->...", u, self.gram, u))
+        return np.sqrt(self.inner(u, u))
 
     def inner(self, u, v):
-        return np.einsum("...i,ij,...j->...", u, self.gram, v)
+        return np.einsum("...i,...i->...", u @ self.gram, v)
 
 
 class CCSpace:
@@ -199,23 +201,6 @@ class ControlPath:
         new_controls = disp * speeds[:, None]
         keep = new_dur > 0
         return ControlPath(new_dur[keep], new_controls[keep], self.basepoint)
-
-    def reversed(self, space: CCSpace):
-        """The same trace run backwards, based at the endpoint."""
-        return ControlPath(
-            self.durations[::-1].copy(),
-            -self.controls[::-1].copy(),
-            self.endpoint(space),
-        )
-
-
-def radial_geodesic(space: CCSpace, n, v, t):
-    """n * exp(t v) for a layer-1 direction v; a genuine CC geodesic."""
-    v = space.algebra.vector(v)
-    if np.any(np.abs(v[space.d1:]) > 0):
-        raise InputError("radial geodesic direction must lie in layer 1")
-    return space.group.bch(n, float(t) * v)
-
 
 # -- certified lower bounds ------------------------------------------------
 
@@ -536,10 +521,11 @@ def _prefix_endpoints(group, controls):
     cum = np.add.accumulate(controls[..., :low], axis=1)
     z[:, 1:, : cum.shape[-1]] = cum
     if low > d1:
-        u = controls[..., :d1]
-        layer2 = 0.5 * np.add.accumulate(np.einsum(
-            "bmi,bmj,ijl->bml", cum[..., :d1] - u, u,
-            algebra.structure[:d1, :d1, d1:top]), axis=1)
+        u = controls[..., :d1].reshape(-1, d1)
+        kernel = group.table.layer2
+        brackets = kernel.bracket(
+            kernel.factor(cum[..., :d1].reshape(-1, d1) - u), u)
+        layer2 = 0.5 * np.add.accumulate(brackets.reshape(B, m, -1), axis=1)
         if d > d1:
             layer2 += cum[..., d1:]
         z[:, 1:, d1:top] = layer2
@@ -573,19 +559,22 @@ def _penalty_value_grad(group, gram, controls, targets, mu):
     pulls cbar = 2 mu (z_m - target) back through
     dz_m/ds_j = psi(-ad z_m) exp(ad z_{j-1}) phi(-ad s_j), all j at once.
     """
-    d = gram.shape[0]
-    table, ad = group.table, group.algebra.ad
+    B, m, d = controls.shape
+    n = group.dim
+    table, kernel = group.table, group.algebra.kernel
     z = _prefix_endpoints(group, controls)
-    steps = np.zeros(z[:, 1:].shape)
-    steps[..., :d] = controls
     gu = controls @ gram
     energy = np.einsum("bmi,bmi->b", controls, gu)
     diff = z[:, -1] - targets
     value = float(np.sum(energy) + mu * np.sum(diff * diff))
-    cbar = horner(2.0 * mu * diff[:, None, :], ad(-z[:, -1]), table.psi)
-    cbar = horner(cbar[:, None], ad(z[:, :-1]), table.exp)
-    pulled = horner(cbar, ad(-steps), table.phi)
-    return value, 2.0 * gu + pulled[..., 0, :d]
+    # the series act on 2-D stacks of rows, one row per (path, step)
+    cbar = row_series(kernel, 2.0 * mu * diff, kernel.factor(-z[:, -1]),
+                      table.psi)
+    cbar = row_series(kernel, np.repeat(cbar, m, axis=0),
+                      kernel.factor(z[:, :-1].reshape(-1, n)), table.exp)
+    pulled = row_series(kernel, cbar, kernel.factor(-controls.reshape(-1, d)),
+                        table.phi)
+    return value, 2.0 * gu + pulled[:, :d].reshape(B, m, d)
 
 
 def _optimize_controls(group, gram, targets, controls0, budget):

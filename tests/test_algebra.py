@@ -15,6 +15,7 @@ from carnot.algebra import (
     verify_graded,
 )
 from carnot.errors import InputError, NotNilpotentError
+from carnot.group import BchTable
 
 
 def test_heisenberg_bracket():
@@ -33,9 +34,70 @@ def test_bracket_bilinear_batched(rng):
     lhs = h.bracket(2.0 * a + b, b)
     rhs = 2.0 * h.bracket(a, b) + h.bracket(b, b)
     assert np.allclose(lhs, rhs)
-    # ad matrix agrees with the bracket
-    for i in range(5):
-        assert np.allclose(h.ad(a[i]) @ b[i], h.bracket(a[i], b[i]))
+    # the coadjoint row action is the bracket's transpose:
+    # (v ad(a)) . b = v . [a, b]
+    v = rng.standard_normal((5, 4))
+    kernel = h.kernel
+    lhs = np.sum(kernel.coadjoint(kernel.factor(a), v) * b, axis=-1)
+    rhs = np.sum(v * h.bracket(a, b), axis=-1)
+    assert np.allclose(lhs, rhs)
+
+
+def _filiform_chain(n):
+    # [X0, Xi] = X(i+1) for 1 <= i < n - 1: nilpotency degree n - 1
+    c = np.zeros((n, n, n))
+    for i in range(1, n - 1):
+        c[0, i, i + 1] = 1.0
+        c[i, 0, i + 1] = -1.0
+    return GradedAlgebra(f"filiform{n}", [2] + [1] * (n - 2), c)
+
+
+def _scaled_engel():
+    # structure constants other than +-1 (scaling keeps Jacobi)
+    e = catalog.engel()
+    return GradedAlgebra("engel-scaled", e.layer_dims, 1.7 * e.structure)
+
+
+@pytest.mark.parametrize("maker", [
+    catalog.heisenberg, catalog.engel, lambda: catalog.abelian(3),
+    lambda: catalog.free_step2(3), lambda: catalog.free_step2(4),
+    lambda: _filiform_chain(5), lambda: _filiform_chain(6),
+    lambda: _filiform_chain(7), _scaled_engel,
+], ids=["heisenberg", "engel", "abelian3", "free2-3", "free2-4",
+        "filiform5", "filiform6", "filiform7", "engel-scaled"])
+def test_bracket_kernel_matches_dense_structure(maker, rng):
+    # the sparse kernel against the dense definitions
+    # [x, w]_l = sum_ij x_i w_j c_ijl and (v ad(x))_j = sum_il v_l x_i c_ijl
+    a = maker()
+    c, n, kernel = a.structure, a.dim, a.kernel
+
+    def close(got, want):
+        scale = max(np.max(np.abs(want)), 1.0)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-15 * scale
+
+    for shape in [(), (7,), (3, 5)]:
+        x, w, v = rng.standard_normal((3,) + shape + (n,))
+        xs = kernel.factor(x)
+        close(kernel.bracket(xs, w), np.einsum("...i,...j,ijl->...l", x, w, c))
+        close(a.bracket(x, w), np.einsum("...i,...j,ijl->...l", x, w, c))
+        close(kernel.coadjoint(xs, v),
+              np.einsum("...l,...i,ijl->...j", v, x, c))
+    # broadcasting: one x against a stack of rows, rows of an identity
+    x = rng.standard_normal(n)
+    w = rng.standard_normal((4, 6, n))
+    close(kernel.bracket(kernel.factor(x), w),
+          np.einsum("i,...j,ijl->...l", x, w, c))
+    x = rng.standard_normal((4, n))
+    close(kernel.coadjoint(kernel.factor(x)[:, None, :], np.eye(n)),
+          np.einsum("ml,bi,ijl->bmj", np.eye(n), x, c))
+    # the layer-1 x layer-1 -> layer-2 block of the path prefix sums
+    if a.num_layers > 1:
+        d1, sl = a.layer_dims[0], a.layer_slice(2)
+        block = BchTable(a).layer2
+        u, s = rng.standard_normal((2, 6, 11, d1))
+        close(block.bracket(block.factor(u), s),
+              np.einsum("...i,...j,ijl->...l", u, s, c[:d1, :d1, sl]))
 
 
 def test_layer_slicing():

@@ -4,8 +4,9 @@
 shape, so a renamed function or a changed call breaks only traced
 benchmark runs.  One traced ball volume checks that the spans are
 recorded and that every patched name is restored; one traced round of
-the ``heis-volume`` workload checks its set-up, round, output checks and
-accuracy probe against the current code.
+the ``heis-volume`` workload and one of ``engel-distance`` (the only
+workload whose objective makes block ``bch`` calls) check their set-up,
+round, output checks and accuracy figures against the current code.
 """
 
 import sys
@@ -31,8 +32,8 @@ def test_tracer_spans_ball_volume(heis, heis_ballbox):
             "group.bch"} <= names
 
 
-def test_heis_volume_workload_traced_round(tmp_path):
-    workload = workloads.make("heis-volume", tmp_path)
+def _traced_round(name, tmp_path):
+    workload = workloads.make(name, tmp_path)
     workload.setup(1)
     tracer = Tracer()
     tracer.install()
@@ -46,3 +47,13 @@ def test_heis_volume_workload_traced_round(tmp_path):
     assert checks.failures == []
     assert checks.attempted > 0
     assert left == []
+    return tracer
+
+
+def test_heis_volume_workload_traced_round(tmp_path):
+    _traced_round("heis-volume", tmp_path)
+
+
+def test_engel_distance_workload_traced_round(tmp_path):
+    tracer = _traced_round("engel-distance", tmp_path)
+    assert "group.bch" in {span.name for span in tracer.spans}
