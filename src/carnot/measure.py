@@ -28,7 +28,7 @@ from .metric import (
     CCSpace,
     OptimizerBudget,
     cc_upper_batch,
-    close_defect_batch,
+    certified_upper_cheap,
     lower_bounds_batch,
 )
 
@@ -36,10 +36,7 @@ from .metric import (
 MEMBERSHIP_BUDGET = OptimizerBudget(
     segments=8,
     starts=1,
-    endpoint_tol=1e-6,
     penalty_init=1e4,
-    penalty_growth=100.0,
-    penalty_max=1e10,
     max_iter=120,
     gtol=1e-9,
     ftol=1e-14,
@@ -103,18 +100,6 @@ def enclosing_box_halfwidths(space: CCSpace, ballbox: BallBoxConstant | None,
         half[a.layer_slice(i)] = (K * r**i if ballbox is None
                                   else (ballbox.A * r) ** i)
     return half
-
-
-def certified_upper_cheap(space: CCSpace, points):
-    """Vectorized certified upper bound: straight segment plus ladder loops."""
-    points = np.atleast_2d(space.algebra.vector(points))
-    u1 = points[:, : space.d1]
-    start = space.embed_horizontal(u1)
-    extra, _, res, _ = close_defect_batch(space, start, points)
-    bad = res > 1e-9 * (1 + np.linalg.norm(points, axis=-1))
-    out = space.metric.norm(u1) + extra
-    out[bad] = np.inf
-    return out
 
 
 def ball_volume(space: CCSpace, ballbox: BallBoxConstant | None, r, samples,

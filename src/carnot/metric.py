@@ -5,11 +5,16 @@ left-invariant controls; a piecewise-constant path integrates exactly
 through the group product, so the only approximation in the story is the
 optimizer's endpoint defect, which is closed exactly by an explicit
 commutator-ladder path whose length is added to the bound.  The
-optimizer minimizes path energy plus a penalty on the endpoint misfit;
-the misfit's gradient is pulled back through the closed-form derivative
-of the product (``group.row_series``, the coadjoint action of the
-algebra's sparse bracket kernel on rows), without per-step Jacobian or
-ad matrices.  The path's prefix products are formed layer by layer:
+optimizer minimizes path energy subject to reaching the target: a short
+L-BFGS-B warm stage on energy plus a penalty on the endpoint misfit,
+Gauss-Newton projection onto the endpoint constraint, then feasible SQP
+per row, whose stationary rows are the discrete normal extremals.  The
+misfit's gradient and the endpoint's Jacobian are pulled back through
+the closed-form derivative of the product (``group.row_series``, the
+coadjoint action of the algebra's sparse bracket kernel on rows),
+without per-step Jacobian or ad matrices.  A row with no feasible
+optimized start falls back to the straight segment plus its ladder
+closure.  The path's prefix products are formed layer by layer:
 layers 1 and 2 telescope into prefix sums on every group (layer 2 through
 the kernel of the layer-1 x layer-1 -> layer-2 brackets), and higher
 layers come from one product call per block of steps (a block of one
@@ -40,9 +45,23 @@ EXACT_TOL = 1e-12
 # Targets optimized together in one batch.
 CHUNK = 32768
 # Rows of one ``bch`` call forming the prefix products of a 3-layer
-# group: calls of this size are past the fixed cost of a call, and
-# larger blocks made the Engel objective slower, not faster.
+# group.  Blocks of every step (q = m) against this cap, Engel at
+# m = 12, 1 BLAS thread, A/A spread <= 3%: the prefix products take 0.99x
+# the cap's time at B = 2 and 32 and 0.70x at B = 100, but 1.26x at
+# B = 300 and 2.42x at B = 1000; the endpoint Jacobian 0.98x, 1.01x,
+# 0.92x, 1.02x and 1.16x.
 BLOCK_ROWS = 512
+# The path optimizer: iterations of the warm penalty stage, its projection
+# onto the endpoint constraint (tolerance relative to 1 + |target|, and
+# Gauss-Newton steps allowed), and the SQP's stopping and line-search
+# constants (``_sqp``).
+WARM_ITER = 30
+PROJECT_TOL = 1e-13
+PROJECT_STEPS = 20
+TRIAL_STEPS = 4
+HALVINGS = 8
+ARMIJO = 1e-4
+DECREASE_TOL = 1e-14
 
 
 class HorizontalMetric:
@@ -480,9 +499,6 @@ class OptimizerBudget:
     starts: int = 4
     max_iter: int = 250
     penalty_init: float = 1e2
-    penalty_growth: float = 10.0
-    penalty_max: float = 1e12
-    endpoint_tol: float = 1e-9
     gtol: float = 1e-12
     ftol: float = 1e-15
 
@@ -551,63 +567,222 @@ def path_endpoints_batch(group, controls):
     return _prefix_endpoints(group, controls)[:, -1]
 
 
+def _pullback(group, z, controls, covectors):
+    """Covectors (B, r, n) at the endpoint pulled back to the controls.
+
+    ``z`` holds the prefix products of the (B, m, d) ``controls``.
+    Returns (B, r, m * d), row k of path b being covectors[b, k] dz_m/du
+    through dz_m/ds_j = psi(-ad z_m) exp(ad z_{j-1}) phi(-ad s_j), all j
+    at once.  The series act on 2-D stacks of rows, one row per (path,
+    covector, step).
+    """
+    B, m, d = controls.shape
+    r, n = covectors.shape[1:]
+    table, kernel = group.table, group.algebra.kernel
+
+    def per_row(factors):  # one (path, step) factor per (path, k, step) row
+        return np.repeat(factors.reshape(B, m, -1), r, axis=0).reshape(
+            B * r * m, -1)
+
+    rows = row_series(kernel, covectors.reshape(-1, n),
+                      np.repeat(kernel.factor(-z[:, -1]), r, axis=0),
+                      table.psi)
+    rows = row_series(kernel, np.repeat(rows, m, axis=0),
+                      per_row(kernel.factor(z[:, :-1].reshape(-1, n))),
+                      table.exp)
+    rows = row_series(kernel, rows,
+                      per_row(kernel.factor(-controls.reshape(-1, d))),
+                      table.phi)
+    return rows[:, :d].reshape(B, r, m * d)
+
+
 def _penalty_value_grad(group, gram, controls, targets, mu):
     """Energy + mu * endpoint misfit, with gradient, fully batched.
 
     ``gram`` is the metric on the controls, which drive the first
     ``gram.shape[0]`` coordinates of the steps s_j.  The misfit gradient
-    pulls cbar = 2 mu (z_m - target) back through
-    dz_m/ds_j = psi(-ad z_m) exp(ad z_{j-1}) phi(-ad s_j), all j at once.
+    pulls cbar = 2 mu (z_m - target) back to the controls (``_pullback``).
     """
-    B, m, d = controls.shape
-    n = group.dim
-    table, kernel = group.table, group.algebra.kernel
     z = _prefix_endpoints(group, controls)
     gu = controls @ gram
     energy = np.einsum("bmi,bmi->b", controls, gu)
     diff = z[:, -1] - targets
     value = float(np.sum(energy) + mu * np.sum(diff * diff))
-    # the series act on 2-D stacks of rows, one row per (path, step)
-    cbar = row_series(kernel, 2.0 * mu * diff, kernel.factor(-z[:, -1]),
-                      table.psi)
-    cbar = row_series(kernel, np.repeat(cbar, m, axis=0),
-                      kernel.factor(z[:, :-1].reshape(-1, n)), table.exp)
-    pulled = row_series(kernel, cbar, kernel.factor(-controls.reshape(-1, d)),
-                        table.phi)
-    return value, 2.0 * gu + pulled[:, :d].reshape(B, m, d)
+    pulled = _pullback(group, z, controls, 2.0 * mu * diff[:, None])
+    return value, 2.0 * gu + pulled.reshape(controls.shape)
+
+
+def _endpoint_jacobian(group, controls):
+    """Endpoints z_m (B, n) of a (B, m, d) control stack and J = dz_m/du.
+
+    J is (B, n, m * d): the pullback of each path's n unit covectors.
+    """
+    B, n = controls.shape[0], group.dim
+    z = _prefix_endpoints(group, controls)
+    eye = np.broadcast_to(np.eye(n), (B, n, n))
+    return z[:, -1], _pullback(group, z, controls, eye)
+
+
+def _solve(a, b):
+    """Batched a x = b for (B, k, k) a and (B, k) b; pinv if one is singular."""
+    try:
+        return np.linalg.solve(a, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        return np.einsum("bij,bj->bi", np.linalg.pinv(a), b)
+
+
+def _project(group, controls, targets, tol, steps):
+    """Gauss-Newton steps u <- u - J^T (J J^T)^-1 c onto z_m(u) = target.
+
+    ``controls`` is (B, m, d); a row takes at most ``steps`` steps and
+    stops once |c| <= tol.  Returns (controls, c, J, ok): c = z_m - target
+    and J at the returned controls, and the rows that met ``tol``.
+    """
+    B, m, d = controls.shape
+    u = controls.reshape(B, m * d).copy()
+    c = np.empty(targets.shape)
+    J = np.empty(targets.shape + (m * d,))
+    ok = np.zeros(B, dtype=bool)
+    live = np.arange(B)
+    for k in range(steps + 1):
+        z, J[live] = _endpoint_jacobian(group, u[live].reshape(-1, m, d))
+        c[live] = z - targets[live]
+        res = np.linalg.norm(c[live], axis=-1)
+        met = res <= tol[live]
+        ok[live[met]] = True
+        live = live[~met & np.isfinite(res)]
+        if k == steps or not len(live):
+            break
+        Jl = J[live]
+        u[live] -= np.einsum("bij,bi->bj", Jl,
+                             _solve(Jl @ Jl.transpose(0, 2, 1), c[live]))
+    return u.reshape(B, m, d), c, J, ok
+
+
+def _bfgs_inverse_update(M, s, y):
+    """Dual-Powell-damped BFGS update of inverse Hessians M (B, N, N), in place.
+
+    Where s^T y < 0.2 y^T M y, s is moved towards M y until s^T y is
+    0.2 y^T M y, which keeps M positive definite; then
+    M <- (I - rho s y^T) M (I - rho y s^T) + rho s s^T with rho = 1 / s^T y,
+    added as two outer products so that one (B, N, N) temporary is alive.
+    """
+    My = np.einsum("bij,bj->bi", M, y)
+    yMy = np.einsum("bi,bi->b", y, My)
+    sy = np.einsum("bi,bi->b", s, y)
+    damp = sy < 0.2 * yMy
+    theta = np.ones_like(sy)
+    theta[damp] = 0.8 * yMy[damp] / (yMy[damp] - sy[damp])
+    s = theta[:, None] * s + (1.0 - theta[:, None]) * My
+    sy = theta * sy + (1.0 - theta) * yMy
+    rho = np.zeros_like(sy)
+    np.divide(1.0, sy, out=rho, where=sy > 0)
+    M += s[:, :, None] * ((rho * rho * yMy + rho)[:, None] * s
+                          - rho[:, None] * My)[:, None, :]
+    M -= (rho[:, None] * My)[:, :, None] * s[:, None, :]
+
+
+def _sqp(group, gram, targets, tol, controls, c, J, max_iter):
+    """Feasible SQP on the energy subject to z_m(u) = target, per row.
+
+    Starts from (B, m, d) ``controls`` that meet ``tol``, with their
+    residuals c and Jacobians J.  Each row keeps an inverse Lagrangian
+    Hessian M, started at blockdiag((2G)^-1); it takes the multipliers
+    from (J M J^T) lam = c - J M g and the step p = -M (g + J^T lam),
+    backtracks on the energy by Armijo (at most ``HALVINGS`` halvings,
+    each trial re-projected by at most ``TRIAL_STEPS`` Gauss-Newton
+    steps), and updates M from y = grad L(u+, lam) - grad L(u, lam).  A
+    row stops, keeping its last feasible iterate, once its predicted
+    decrease -g^T p is at most ``DECREASE_TOL`` (1 + E), when no trial is
+    accepted, or after ``max_iter`` iterations; the stopped rows leave the
+    working arrays.
+    """
+    B, m, d = controls.shape
+    N = m * d
+
+    def energy_grad(v):
+        gv = (v.reshape(-1, m, d) @ gram).reshape(-1, N)
+        return np.einsum("bi,bi->b", v, gv), 2.0 * gv
+
+    out = controls.copy()
+    rows = np.arange(B)
+    u = controls.reshape(B, N)
+    E, g = energy_grad(u)
+    M = np.empty((B, N, N))
+    M[:] = np.kron(np.eye(m), np.linalg.inv(2.0 * gram))
+    for it in range(max_iter):
+        MJt = M @ J.transpose(0, 2, 1)
+        Mg = np.einsum("bij,bj->bi", M, g)
+        lam = _solve(J @ MJt, c - np.einsum("bij,bj->bi", J, Mg))
+        p = -(Mg + np.einsum("bij,bj->bi", MJt, lam))
+        dec = -np.einsum("bi,bi->b", g, p)
+        trying = np.flatnonzero(dec > DECREASE_TOL * (1.0 + E))
+        un, cn, Jn, En = u.copy(), c.copy(), J.copy(), E.copy()
+        moved = np.zeros(len(u), dtype=bool)
+        for h in range(HALVINGS + 1):
+            if not len(trying):
+                break
+            alpha = 0.5 ** h
+            tu, tc, tJ, ok = _project(
+                group, (u[trying] + alpha * p[trying]).reshape(-1, m, d),
+                targets[rows[trying]], tol[trying], TRIAL_STEPS)
+            tu = tu.reshape(-1, N)
+            tE = energy_grad(tu)[0]
+            ok &= tE <= E[trying] - ARMIJO * alpha * dec[trying]
+            hit = trying[ok]
+            un[hit], cn[hit], Jn[hit], En[hit] = tu[ok], tc[ok], tJ[ok], tE[ok]
+            moved[hit] = True
+            trying = trying[~ok]
+        # un is u on the rows that did not move; every row but the moved
+        # ones before the cap stops here
+        keep = moved if it + 1 < max_iter else np.zeros_like(moved)
+        out[rows[~keep]] = un[~keep].reshape(-1, m, d)
+        if not np.any(keep):
+            break
+        if not np.all(keep):
+            rows, tol, M, lam = rows[keep], tol[keep], M[keep], lam[keep]
+            u, g, J, un, cn, Jn, En = (a[keep] for a in
+                                       (u, g, J, un, cn, Jn, En))
+        gn = energy_grad(un)[1]
+        y = gn - g + np.einsum("bij,bi->bj", Jn - J, lam)
+        _bfgs_inverse_update(M, un - u, y)
+        u, c, J, E, g = un, cn, Jn, En, gn
+    return out
 
 
 def _optimize_controls(group, gram, targets, controls0, budget):
-    """Penalty-continuation quasi-Newton minimization of path energy.
+    """Minimum-energy controls reaching the targets, per row.
 
-    targets: (B, n); controls0: (B, m, d) with d = gram.shape[0].
-    Returns optimized controls.
+    targets: (B, n); controls0: (B, m, d) with d = gram.shape[0].  A warm
+    L-BFGS-B stage minimizes energy + penalty_init * |z_m - target|^2
+    over the flattened batch (at most ``WARM_ITER`` iterations), each
+    row is projected onto z_m(u) = target by Gauss-Newton steps, and the
+    projected rows descend by feasible SQP (``_sqp``).  A row whose
+    projection fails keeps its warm point, with its defect; the callers
+    close the defect.  Returns the (B, m, d) controls.
     """
     B, m, d = controls0.shape
-    scale_ref = 1.0 + np.linalg.norm(targets, axis=-1)
-
-    controls = controls0
     mu = budget.penalty_init
-    while True:
-        def fun(flat, _mu=mu):
-            c = flat.reshape(B, m, d)
-            v, g = _penalty_value_grad(group, gram, c, targets, _mu)
-            return v, g.ravel()
 
-        res = minimize(
-            fun,
-            controls.ravel(),
-            jac=True,
-            method="L-BFGS-B",
-            options={"maxiter": budget.max_iter, "ftol": budget.ftol,
-                     "gtol": budget.gtol},
-        )
-        controls = res.x.reshape(B, m, d)
-        endpoint = path_endpoints_batch(group, controls)
-        residual = np.linalg.norm(endpoint - targets, axis=-1) / scale_ref
-        if np.max(residual) <= budget.endpoint_tol / 10 or mu >= budget.penalty_max:
-            break
-        mu *= budget.penalty_growth
+    def fun(flat):
+        v, g = _penalty_value_grad(group, gram, flat.reshape(B, m, d),
+                                   targets, mu)
+        return v, g.ravel()
+
+    warm = minimize(
+        fun,
+        controls0.ravel(),
+        jac=True,
+        method="L-BFGS-B",
+        options={"maxiter": min(budget.max_iter, WARM_ITER),
+                 "ftol": budget.ftol, "gtol": budget.gtol},
+    ).x.reshape(B, m, d)  # the result's curvature pairs are not kept
+    tol = PROJECT_TOL * (1.0 + np.linalg.norm(targets, axis=-1))
+    controls, c, J, ok = _project(group, warm, targets, tol, PROJECT_STEPS)
+    controls[~ok] = warm[~ok]
+    if np.any(ok):
+        controls[ok] = _sqp(group, gram, targets[ok], tol[ok], controls[ok],
+                            c[ok], J[ok], budget.max_iter)
     return controls
 
 
@@ -634,12 +809,13 @@ def _initial_controls(space, targets, budget, rng):
 def _shortest_paths(space: CCSpace, targets, budget, seed):
     """Shortest optimized and ladder-closed path from e^0 to each target.
 
-    Per row the shortest start whose ladder closure is feasible is kept,
-    or the first start if none is.  Returns (upper, residual, paths):
-    ``upper`` is the kept path's length, inf where it is infeasible and 0
-    for a zero target.  ``paths`` lists (rows, controls) per chunk of
-    nonzero targets, the kept paths as unit-duration control
-    displacements, (len(rows), k, d1), optimized segments first.
+    Per row the shortest start whose ladder closure is feasible is kept;
+    a row with no feasible start gets the straight segment plus its
+    ladder closure instead (``certified_upper_cheap``).  Returns (upper,
+    residual, paths): ``upper`` is the kept path's length, inf where even
+    that is infeasible and 0 for a zero target.  ``paths`` lists (rows,
+    controls) per chunk of nonzero targets, the kept paths as
+    unit-duration control displacements, (len(rows), k, d1).
     """
     targets = np.atleast_2d(space.algebra.vector(targets))
     B = targets.shape[0]
@@ -686,8 +862,40 @@ def _shortest_paths(space: CCSpace, targets, budget, seed):
         residual[idx] = res[best, cols]
         kept = [controls.reshape(S, b, budget.segments, -1)[best, cols]]
         kept += [u.reshape(S, b, 1, -1)[best, cols] for u in segs]
-        paths.append((idx, scales[idx, None, None] * np.concatenate(kept, axis=1)))
+        kept = scales[idx, None, None] * np.concatenate(kept, axis=1)
+        failed = ~np.isfinite(upper[idx])
+        if np.any(failed):
+            rows = idx[failed]
+            upper[rows], residual[rows], straight = _straight_ladder(
+                space, targets[rows], collect=True)
+            width = max(kept.shape[1], straight.shape[1])
+            kept = np.pad(kept, ((0, 0), (0, width - kept.shape[1]), (0, 0)))
+            kept[failed] = np.pad(
+                straight, ((0, 0), (0, width - straight.shape[1]), (0, 0)))
+        paths.append((idx, kept))
     return upper, residual, paths
+
+
+def _straight_ladder(space: CCSpace, points, collect=False):
+    """The straight segment to each point plus its ladder closure.
+
+    Returns (upper, residual, path): the path's length, inf where the
+    closure is infeasible, the closure's residual and, if ``collect``,
+    the path as (B, k, d1) unit-duration control displacements.
+    """
+    u1 = points[:, : space.d1]
+    start = space.embed_horizontal(u1)
+    extra, _, res, segs = close_defect_batch(space, start, points,
+                                             collect=collect)
+    upper = space.metric.norm(u1) + extra
+    upper[res > 1e-9 * (1 + np.linalg.norm(points, axis=-1))] = np.inf
+    return upper, res, np.stack([u1] + segs, axis=1) if collect else None
+
+
+def certified_upper_cheap(space: CCSpace, points):
+    """Vectorized certified upper bound: straight segment plus ladder loops."""
+    points = np.atleast_2d(space.algebra.vector(points))
+    return _straight_ladder(space, points)[0]
 
 
 def cc_upper_batch(space: CCSpace, targets, budget=None, seed=0):
@@ -695,7 +903,9 @@ def cc_upper_batch(space: CCSpace, targets, budget=None, seed=0):
 
     Returns (upper, residual): ``upper`` is the exact length of a feasible
     witness (optimized path plus exact ladder closure of the remaining
-    defect); ``residual`` the final coordinate mismatch, ~1e-12.
+    defect, or for a row with no feasible start the straight segment plus
+    its closure); ``residual`` the final coordinate mismatch, ~1e-12.
+    Raises OptimizerFailure only for rows where both are infeasible.
     """
     if budget is None:
         budget = OptimizerBudget()
@@ -766,8 +976,7 @@ def riemannian_upper_batch(space: CCSpace, targets, budget=None):
     feasible broken path.
     """
     if budget is None:
-        budget = OptimizerBudget(segments=8, starts=1, max_iter=120,
-                                 endpoint_tol=1e-8)
+        budget = OptimizerBudget(segments=8, starts=1, max_iter=120)
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     gram = np.eye(space.algebra.dim)
     gram[: space.d1, : space.d1] = space.metric.gram

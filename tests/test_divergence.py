@@ -18,9 +18,8 @@ from carnot.divergence import (
 from carnot.errors import InputError
 from carnot.metric import CCSpace, OptimizerBudget
 
-FAST = OptimizerBudget(segments=8, starts=2, endpoint_tol=1e-7,
-                       penalty_init=1e4, penalty_growth=100.0,
-                       penalty_max=1e10, max_iter=150, gtol=1e-10)
+FAST = OptimizerBudget(segments=8, starts=2, penalty_init=1e4,
+                       max_iter=150, gtol=1e-10)
 
 
 def test_default_t_grid():

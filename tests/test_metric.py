@@ -7,7 +7,7 @@ isoperimetric oracle (shortest planar loop of prescribed signed area).
 import numpy as np
 import pytest
 
-from carnot import catalog
+from carnot import catalog, metric
 from carnot.errors import InputError, UnreachableError
 from carnot.group import CarnotGroup, dilate
 from carnot.metric import (
@@ -16,6 +16,9 @@ from carnot.metric import (
     ControlPath,
     HorizontalMetric,
     OptimizerBudget,
+    _endpoint_jacobian,
+    _initial_controls,
+    _optimize_controls,
     _penalty_value_grad,
     _prefix_endpoints,
     calibrate_ballbox,
@@ -23,18 +26,18 @@ from carnot.metric import (
     cc_lower_ballbox,
     cc_upper,
     cc_upper_batch,
+    certified_upper_cheap,
     close_defect_batch,
     estimate_distance,
     lower_bounds_batch,
     path_endpoints_batch,
 )
-from carnot.measure import enclosing_box_halfwidths
+from carnot.measure import MEMBERSHIP_BUDGET, enclosing_box_halfwidths
 
 from oracles import heisenberg_distance, min_loop_length
 
-FAST = OptimizerBudget(segments=8, starts=2, endpoint_tol=1e-7,
-                       penalty_init=1e4, penalty_growth=100.0,
-                       penalty_max=1e10, max_iter=150, gtol=1e-10)
+FAST = OptimizerBudget(segments=8, starts=2, penalty_init=1e4,
+                       max_iter=150, gtol=1e-10)
 
 
 def test_horizontal_metric_validation():
@@ -371,19 +374,29 @@ def test_prefix_endpoints_match_bch_fold(case, full, filiform, rng):
                                        atol=1e-12 * np.max(np.abs(fold)))
 
 
-@pytest.mark.parametrize("case", ["heisenberg", "engel", "completion",
-                                  "filiform"])
-def test_penalty_gradient_matches_finite_differences(case, filiform, rng):
-    # heisenberg needs only the telescoped layers 1-2, engel blocks its
-    # layer-3 product calls, the completion has full-coordinate controls and
-    # the degree-6 filiform takes one product call per step
+def _gradient_case(case, filiform):
+    """Group and control metric of the four gradient and Jacobian cases.
+
+    heisenberg needs only the telescoped layers 1-2, engel blocks its
+    layer-3 product calls, the completion has full-coordinate controls
+    and the degree-6 filiform takes one product call per step.
+    """
     algebra = {"heisenberg": catalog.heisenberg(), "engel": catalog.engel(),
                "completion": catalog.heisenberg(), "filiform": filiform}[case]
-    group = CarnotGroup(algebra)
     gram = np.array([[2.0, 0.3], [0.3, 1.0]])
     if case == "completion":
         gram = np.eye(algebra.dim)
         gram[:2, :2] = [[2.0, 0.3], [0.3, 1.0]]
+    return CarnotGroup(algebra), gram
+
+
+GRADIENT_CASES = ["heisenberg", "engel", "completion", "filiform"]
+
+
+@pytest.mark.parametrize("case", GRADIENT_CASES)
+def test_penalty_gradient_matches_finite_differences(case, filiform, rng):
+    group, gram = _gradient_case(case, filiform)
+    algebra = group.algebra
     controls = 0.5 * rng.standard_normal((2, 5, gram.shape[0]))
     targets = rng.standard_normal((2, algebra.dim))
     mu = 10.0
@@ -400,3 +413,93 @@ def test_penalty_gradient_matches_finite_differences(case, filiform, rng):
                    ) / (2 * h)
     np.testing.assert_allclose(grad, fd, rtol=1e-6,
                                atol=1e-6 * np.max(np.abs(fd)))
+
+
+@pytest.mark.parametrize("case", GRADIENT_CASES)
+def test_endpoint_jacobian_matches_finite_differences(case, filiform, rng):
+    group, gram = _gradient_case(case, filiform)
+    controls = 0.5 * rng.standard_normal((2, 5, gram.shape[0]))
+    end, jac = _endpoint_jacobian(group, controls)
+    np.testing.assert_array_equal(end, path_endpoints_batch(group, controls))
+    h = 1e-6
+    fd = np.zeros((2, group.dim) + controls.shape[1:])
+    for idx in np.ndindex(*controls.shape[1:]):
+        step = np.zeros_like(controls)
+        step[(slice(None),) + idx] = h
+        fd[(slice(None), slice(None)) + idx] = (
+            path_endpoints_batch(group, controls + step)
+            - path_endpoints_batch(group, controls - step)) / (2 * h)
+    fd = fd.reshape(jac.shape)
+    np.testing.assert_allclose(jac, fd, rtol=1e-6,
+                               atol=1e-6 * np.max(np.abs(fd)))
+
+
+def test_optimized_controls_meet_pontryagin_condition(heis):
+    # stationary rows are discrete normal extremals: 2 G u + J^T lam = 0
+    # for the least-squares multiplier lam of the endpoint constraint
+    rng = np.random.default_rng(21)
+    targets = rng.standard_normal((20, 3))
+    targets /= heis.homogeneous_norm(targets)[:, None] ** np.array([1, 1, 2])
+    budget = FAST.replace(starts=1)
+    controls0 = _initial_controls(heis, targets, budget, rng)[0]
+    controls = _optimize_controls(heis.group, heis.metric.gram, targets,
+                                  controls0, budget)
+    end, jac = _endpoint_jacobian(heis.group, controls)
+    assert np.all(np.linalg.norm(end - targets, axis=-1) <= 1e-12)
+    grad = 2.0 * (controls @ heis.metric.gram).reshape(len(targets), -1)
+    for g, j in zip(grad, jac):
+        lam = np.linalg.lstsq(j.T, -g, rcond=None)[0]
+        assert np.linalg.norm(g + j.T @ lam) <= 1e-6 * np.linalg.norm(g)
+
+
+def test_membership_gap_to_exact_heisenberg(heis):
+    # 512 points of the exact unit sphere, at the membership budget; the
+    # penalty-continuation solver this replaced gave a median gap of
+    # 0.823% and a p90 of 2.077% on them
+    rng = np.random.default_rng(22)
+    pts = rng.standard_normal((512, 3))
+    scale = heisenberg_distance(pts)
+    pts /= scale[:, None] ** np.array([1, 1, 2])
+    upper, residual = cc_upper_batch(heis, pts, budget=MEMBERSHIP_BUDGET,
+                                     seed=23)
+    gap = upper / heisenberg_distance(pts) - 1.0
+    assert np.all(gap >= -1e-9)
+    assert np.all(residual <= 1e-9)
+    p50, p90 = np.percentile(gap, [50, 90])
+    assert p50 <= 0.00823 and p90 <= 0.02077
+
+
+def test_engel_bounds_stable_under_last_bit(engel_space):
+    # the rows' optimizer runs converge, so a last-bit change of the
+    # targets moves the bounds by no more than the solver's tolerances
+    rng = np.random.default_rng(24)
+    targets = rng.standard_normal((20, 4))
+    targets /= (engel_space.homogeneous_norm(targets)[:, None]
+                ** engel_space.algebra.layer_of)
+    budget = OptimizerBudget(segments=12, starts=2)
+    upper, _ = cc_upper_batch(engel_space, targets, budget=budget, seed=25)
+    moved, _ = cc_upper_batch(engel_space, targets * (1 + 2e-16),
+                              budget=budget, seed=25)
+    assert np.all(np.abs(moved / upper - 1.0) <= 1e-6)
+
+
+def test_failed_row_falls_back_to_the_ladder(heis, monkeypatch, rng):
+    # a row whose every start comes back infeasible gets the straight
+    # segment plus its ladder closure, and the batch still succeeds
+    pts = rng.standard_normal((6, 3))
+    solve = metric._optimize_controls
+
+    def spoiled(group, gram, targets, controls0, budget):
+        controls = solve(group, gram, targets, controls0, budget)
+        # row 0 of every start: the starts are stacked start-major
+        controls[:: len(targets) // budget.starts] = np.nan
+        return controls
+
+    monkeypatch.setattr(metric, "_optimize_controls", spoiled)
+    upper, residual = cc_upper_batch(heis, pts, budget=FAST, seed=26)
+    assert np.all(np.isfinite(upper))
+    assert upper[0] == certified_upper_cheap(heis, pts[:1])[0]
+    assert residual[0] <= 1e-9
+    est = cc_upper(heis, np.zeros(3), pts[0], budget=FAST, seed=26)
+    assert est.upper == pytest.approx(upper[0], rel=1e-12)
+    assert np.allclose(est.witness.endpoint(heis), pts[0], atol=1e-9)
