@@ -9,10 +9,17 @@ data and the fit so the estimator is auditable.
 Also here: the certified ball sampler and the spread estimate
 quantifying how a box's end stays together under the flow.  The End/Box
 samplers live in ``measure`` and are re-exported here.
+
+Each lab draws all of its samples first, in the order of a per-level
+loop, and evaluates the distance once on the whole set, so the path
+solver's and the ladder's fixed costs are paid once per call.  The ball
+sampler draws its candidates in blocks of tries and runs the ladder only
+on those the certified lower bound keeps.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,28 +198,45 @@ def sample_ball(space: CCSpace, center, radius, count, rng, ballbox,
     per-layer constants, or of ``ballbox`` when one is given) and
     accepted when the cheap certified upper bound is below the radius,
     so every returned point genuinely lies in the ball (the sample leans
-    inward).
+    inward).  A try draws max(4 count, 256) candidates; at most
+    ``max_tries`` tries are made.
+
+    Tries are drawn in blocks with one ``rng.uniform`` call: the block
+    doubles while nothing is accepted, then is sized from the acceptance
+    rate so far.  Only candidates whose certified lower bound is within
+    the radius reach the ladder; the lower bound is below the cheap upper
+    one, so this rejects no member.  Points are taken in try order and
+    the generator is rewound to the end of the last try used, so both
+    the points and ``rng``'s state afterwards are those of drawing and
+    testing one try at a time.
     """
     center = space.algebra.vector(center)
     half = enclosing_box_halfwidths(space, ballbox, radius)
+    per_try, dim = max(4 * count, 256), space.algebra.dim
     out = []
-    have = 0
-    for _ in range(max_tries):
-        cand = rng.uniform(-1.0, 1.0, (max(4 * count, 256),
-                                       space.algebra.dim)) * half
-        upper = certified_upper_cheap(space, cand)
-        good = cand[upper <= radius]
-        if len(good):
-            out.append(good)
-            have += len(good)
-        if have >= count:
-            break
+    have = tries = 0
+    block = 1
+    while have < count and tries < max_tries:
+        block = min(block, max_tries - tries)
+        state = rng.bit_generator.state
+        cand = rng.uniform(-1.0, 1.0, (block * per_try, dim)) * half
+        rows = np.flatnonzero(lower_bounds_batch(space, cand)[0] <= radius)
+        rows = rows[certified_upper_cheap(space, cand[rows]) <= radius]
+        rows = rows[: count - have]
+        out.append(cand[rows])
+        have += len(rows)
+        used = block if have < count else int(rows[-1]) // per_try + 1
+        if used < block:  # rewind to the end of the last try used
+            rng.bit_generator.state = state
+            rng.uniform(-1.0, 1.0, (used * per_try, dim))
+        tries += used
+        block = (2 * block if not have
+                 else math.ceil(1.5 * (count - have) * tries / have))
     if have < count:
         raise InputError(
             f"ball rejection sampling starved at radius {radius}"
         )
-    pts = np.concatenate(out, axis=0)[:count]
-    return space.group.bch(center, pts)
+    return space.group.bch(center, np.concatenate(out, axis=0))
 
 
 # -- derivates -------------------------------------------------------------
@@ -273,6 +297,10 @@ def derivate(space: CCSpace, d: LipschitzDistance, x, v, t_grid=None,
     d(y, y h_t e^v)/t recorded; extremes per level, tail-extrapolated.
     The radial geodesic gives d_cc(y, y h_t e^v) = t |v| exactly, so the
     declared Lipschitz constant is enforced on every sampled pair.
+    Every level is sampled first, in descending t from one generator,
+    and d is evaluated once on all the pairs; the Lipschitz check then
+    runs level by level, so the first violation found is at the largest
+    violating t.
     """
     x = space.algebra.vector(x)
     v = space.algebra.vector(v)
@@ -285,16 +313,19 @@ def derivate(space: CCSpace, d: LipschitzDistance, x, v, t_grid=None,
         raise InputError("t grid entries must stay above 1e-5")
     vnorm = float(space.metric.norm(v[: space.d1]))
     rng = np.random.default_rng(seed)
+    ys = np.concatenate([sample_ball(space, x, t, samples_per_t, rng, ballbox)
+                         for t in t_grid])
+    level_t = np.repeat(t_grid, samples_per_t)
+    ys2 = space.group.bch(ys, level_t[:, None] * v[None, :])
+    qs = (d(ys, ys2) / level_t).reshape(len(t_grid), samples_per_t)
     rows = []
-    for t in t_grid:
-        ys = sample_ball(space, x, t, samples_per_t, rng, ballbox)
-        ys2 = space.group.bch(ys, t * v[None, :])
-        q = d(ys, ys2) / t
+    for level, (t, q) in enumerate(zip(t_grid, qs)):
         limit = d.L * vnorm + d.tol / t
         if np.any(q > limit):
-            i = int(np.argmax(q))
+            j = int(np.argmax(q))
+            i = level * samples_per_t + j
             raise LipschitzViolation(
-                f"{d.name}: quotient {q[i]:.6g} exceeds L*|v| = "
+                f"{d.name}: quotient {q[j]:.6g} exceeds L*|v| = "
                 f"{d.L * vnorm:.6g} at t={t:.3g}",
                 pair=(ys[i], ys2[i]),
             )
@@ -359,6 +390,8 @@ def spread_estimate(space: CCSpace, v, epsilon_grid, t_grid, samples=64,
     By left invariance the base y drops out; the distance reduces to
     d_cc(e^0, (h_t e^v)^{-1} z' h_t e^v) with z' the end displacement, so
     each cell is a batch of certified upper bounds on conjugated points.
+    The cells' ends are drawn in (epsilon, t) order from one generator
+    and bounded together in one ``cc_upper_batch`` call.
     """
     v = space.algebra.vector(v)
     if np.any(np.abs(v[space.d1:]) > 0):
@@ -366,15 +399,17 @@ def spread_estimate(space: CCSpace, v, epsilon_grid, t_grid, samples=64,
     if budget is None:
         budget = MEMBERSHIP_BUDGET
     rng = np.random.default_rng(seed)
-    rows = []
-    for eps in epsilon_grid:
-        for t in t_grid:
-            spec = BoxSpec(center=np.zeros(space.algebra.dim),
-                           direction=t * v, epsilon=t * eps)
-            ends = sample_end(space, spec, samples, rng)
-            disp = space.group.conjugate(t * v[None, :], ends)
-            upper, _ = cc_upper_batch(space, disp, budget=budget,
-                                      seed=seed + 1)
-            sup = float(np.max(upper))
-            rows.append((float(eps), float(t), sup, sup / float(t)))
+    cells = [(eps, t) for eps in epsilon_grid for t in t_grid]
+    ends = np.concatenate([
+        sample_end(space, BoxSpec(center=np.zeros(space.algebra.dim),
+                                  direction=t * v, epsilon=t * eps),
+                   samples, rng)
+        for eps, t in cells
+    ])
+    legs = np.repeat([float(t) for _, t in cells], samples)[:, None] * v
+    upper, _ = cc_upper_batch(space, space.group.conjugate(legs, ends),
+                              budget=budget, seed=seed + 1)
+    sups = np.max(upper.reshape(len(cells), samples), axis=1)
+    rows = [(float(eps), float(t), float(sup), float(sup) / float(t))
+            for (eps, t), sup in zip(cells, sups)]
     return SpreadReport(rows=rows, samples=samples, seed=seed)

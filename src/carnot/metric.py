@@ -483,8 +483,8 @@ def close_defect_batch(space: CCSpace, endpoints, targets, max_passes=60,
             extra += lengths
             if collect:
                 segs.extend(controls)
-    defect = group.bch(-endpoints, targets)
-    residual = np.linalg.norm(defect, axis=-1)
+    else:
+        residual = np.linalg.norm(group.bch(-endpoints, targets), axis=-1)
     return extra, endpoints, residual, segs
 
 

@@ -119,15 +119,30 @@ def min_loop_length(area, vertices=96, seed=0):
         d = np.roll(p, -1, axis=0) - p
         return np.sum(np.hypot(d[:, 0], d[:, 1]))
 
+    def perimeter_grad(flat):
+        # vertex i ends edge i - 1 and starts edge i
+        p = flat.reshape(-1, 2)
+        d = np.roll(p, -1, axis=0) - p
+        unit = d / np.hypot(d[:, 0], d[:, 1])[:, None]
+        return (np.roll(unit, 1, axis=0) - unit).ravel()
+
     def signed_area(flat):
         p = flat.reshape(-1, 2)
         q = np.roll(p, -1, axis=0)
         return 0.5 * np.sum(p[:, 0] * q[:, 1] - q[:, 0] * p[:, 1]) - area
 
+    def signed_area_grad(flat):
+        # d/dx_i = (y_{i+1} - y_{i-1}) / 2, d/dy_i = (x_{i-1} - x_{i+1}) / 2
+        p = flat.reshape(-1, 2)
+        diff = np.roll(p, -1, axis=0) - np.roll(p, 1, axis=0)
+        return 0.5 * np.stack([diff[:, 1], -diff[:, 0]], axis=1).ravel()
+
     res = minimize(
         perimeter,
         pts0.ravel(),
-        constraints=[{"type": "eq", "fun": signed_area}],
+        jac=perimeter_grad,
+        constraints=[{"type": "eq", "fun": signed_area,
+                      "jac": signed_area_grad}],
         method="SLSQP",
         options={"maxiter": 500, "ftol": 1e-12},
     )

@@ -4,9 +4,11 @@
 shape, so a renamed function or a changed call breaks only traced
 benchmark runs.  One traced ball volume checks that the spans are
 recorded and that every patched name is restored; one traced round of
-the ``heis-volume`` workload and one of ``engel-distance`` (the only
-workload whose objective makes block ``bch`` calls) check their set-up,
-round, output checks and accuracy figures against the current code.
+the ``heis-volume`` workload, one of ``engel-distance`` (the only
+workload whose objective makes block ``bch`` calls) and one of
+``heis-cli`` (the only one entering the derivate and spread labs) check
+their set-up, round, output checks and accuracy figures against the
+current code.
 """
 
 import sys
@@ -57,3 +59,10 @@ def test_heis_volume_workload_traced_round(tmp_path):
 def test_engel_distance_workload_traced_round(tmp_path):
     tracer = _traced_round("engel-distance", tmp_path)
     assert "group.bch" in {span.name for span in tracer.spans}
+
+
+def test_heis_cli_workload_traced_round(tmp_path):
+    tracer = _traced_round("heis-cli", tmp_path)
+    names = {span.name for span in tracer.spans}
+    assert {"derivate.sample_ball", "derivate.spread",
+            "derivate.derivate", "metric.cc_upper"} <= names

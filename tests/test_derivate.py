@@ -20,7 +20,12 @@ from carnot.derivate import (
     spread_estimate,
 )
 from carnot.errors import InputError, LipschitzViolation
-from carnot.measure import certified_upper_cheap
+from carnot.measure import (
+    MEMBERSHIP_BUDGET,
+    certified_upper_cheap,
+    enclosing_box_halfwidths,
+)
+from carnot.metric import cc_upper_batch
 
 
 def test_default_t_grid():
@@ -191,3 +196,139 @@ def test_spread_abelian_exactly_linear():
     assert max(sups) / min(sups) < 1.02
     # no commutator correction: sup/t is at most eps
     assert max(sups) <= 0.3 + 1e-9
+
+
+# -- the batched labs against per-level and per-cell reference loops --------
+
+
+def _sample_ball_one_try_at_a_time(space, center, radius, count, rng, ballbox,
+                                   max_tries=200):
+    half = enclosing_box_halfwidths(space, ballbox, radius)
+    out, have = [], 0
+    for _ in range(max_tries):
+        cand = rng.uniform(-1.0, 1.0, (max(4 * count, 256),
+                                       space.algebra.dim)) * half
+        good = cand[certified_upper_cheap(space, cand) <= radius]
+        out.append(good)
+        have += len(good)
+        if have >= count:
+            break
+    if have < count:
+        raise InputError(f"ball rejection sampling starved at radius {radius}")
+    return space.group.bch(center, np.concatenate(out, axis=0)[:count])
+
+
+@pytest.mark.parametrize("box", ["calibrated", "certified"])
+@pytest.mark.parametrize("count", [5, 64, 300])
+def test_sample_ball_matches_one_try_at_a_time(heis, heis_ballbox, box,
+                                               count):
+    # the calibrated box accepts about 1 candidate in 250, so a call
+    # takes tens of tries in several blocks
+    ballbox = heis_ballbox if box == "calibrated" else None
+    center = np.array([0.2, -0.1, 0.4])
+    want_rng, got_rng = np.random.default_rng(12), np.random.default_rng(12)
+    want = _sample_ball_one_try_at_a_time(heis, center, 0.3, count,
+                                          want_rng, ballbox)
+    got = sample_ball(heis, center, 0.3, count, got_rng, ballbox)
+    assert np.array_equal(got, want)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_sample_ball_starves_after_max_tries_on_engel(engel_space):
+    # the straight-segment ladder bound accepts about 1 Engel candidate in
+    # 1e5 from the certified box, so 30 tries of 256 find none
+    want_rng, got_rng = np.random.default_rng(13), np.random.default_rng(13)
+    with pytest.raises(InputError):
+        _sample_ball_one_try_at_a_time(engel_space, np.zeros(4), 0.5, 8,
+                                       want_rng, None, max_tries=30)
+    with pytest.raises(InputError, match="starved"):
+        sample_ball(engel_space, np.zeros(4), 0.5, 8, got_rng, None,
+                    max_tries=30)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_spread_matches_per_cell_batches(heis):
+    v = np.array([0.6, 0.8, 0.0])
+    eps_grid, t_grid, samples, seed = [0.4, 0.1], [1.0, 2.0, 4.0], 24, 14
+    rep = spread_estimate(heis, v, eps_grid, t_grid, samples=samples,
+                          seed=seed)
+    rng = np.random.default_rng(seed)
+    want = []
+    for eps in eps_grid:
+        for t in t_grid:
+            spec = BoxSpec(center=np.zeros(3), direction=t * v,
+                           epsilon=t * eps)
+            ends = sample_end(heis, spec, samples, rng)
+            disp = heis.group.conjugate(t * v[None, :], ends)
+            upper, _ = cc_upper_batch(heis, disp, budget=MEMBERSHIP_BUDGET,
+                                      seed=seed + 1)
+            want.append((eps, t, float(np.max(upper))))
+    assert [r[:2] for r in rep.rows] == [w[:2] for w in want]
+    got = np.array([r[2] for r in rep.rows])
+    np.testing.assert_allclose(got, [w[2] for w in want], rtol=1e-9)
+    np.testing.assert_allclose([r[3] for r in rep.rows],
+                               got / np.array([w[1] for w in want]),
+                               rtol=1e-15)
+
+
+def _derivate_rows_level_by_level(space, d, x, v, t_grid, samples, seed,
+                                  ballbox):
+    rng = np.random.default_rng(seed)
+    rows = []
+    for t in sorted(t_grid, reverse=True):
+        ys = sample_ball(space, x, t, samples, rng, ballbox)
+        q = d(ys, space.group.bch(ys, t * v[None, :])) / t
+        rows.append((t, float(np.min(q)), float(np.max(q)), samples))
+    return rows
+
+
+@pytest.mark.parametrize("box", ["calibrated", "certified"])
+def test_derivate_matches_level_by_level(heis, heis_ballbox, box):
+    ballbox = heis_ballbox if box == "calibrated" else None
+    d = cc_distance(heis, ballbox=ballbox, seed=15)
+    x = np.array([0.3, 0.1, -0.2])
+    v = np.array([0.8, -0.6, 0.0])
+    t_grid = default_t_grid(levels=5)
+    est = derivate(heis, d, x, v, t_grid=t_grid, samples_per_t=16, seed=15,
+                   ballbox=ballbox)
+    want = _derivate_rows_level_by_level(heis, d, x, v, t_grid, 16, 15,
+                                         ballbox)
+    assert [(r[0], r[3]) for r in est.rows] == [(w[0], w[3]) for w in want]
+    np.testing.assert_allclose([r[1:3] for r in est.rows],
+                               [w[1:3] for w in want], rtol=1e-9)
+
+
+def _coordinate_distance():
+    # the Euclidean distance of coordinates, declared 1-Lipschitz; it is
+    # not left-invariant, so its quotients differ from pair to pair
+    return LipschitzDistance(
+        name="coordinate", L=1.0,
+        evaluator=lambda xs, ys: np.linalg.norm(ys - xs, axis=-1))
+
+
+@pytest.mark.parametrize("which", ["snowflake", "coordinate"])
+def test_derivate_violation_names_first_violating_level(heis, heis_ballbox,
+                                                         which):
+    # the snowflake's quotients at one level agree up to the solver's
+    # rounding, which picks among them; the coordinate distance's differ
+    d = (snowflake_distance(heis, ballbox=heis_ballbox)
+         if which == "snowflake" else _coordinate_distance())
+    v = heis.algebra.from_label("X")
+    x = np.array([0.5, -0.2, 0.1])
+    t_grid = default_t_grid(levels=6)
+    with pytest.raises(LipschitzViolation) as exc:
+        derivate(heis, d, x, v, t_grid=t_grid, samples_per_t=8, seed=4,
+                 ballbox=heis_ballbox)
+    rng = np.random.default_rng(4)
+    for t in t_grid:
+        ys = sample_ball(heis, x, t, 8, rng, heis_ballbox)
+        ys2 = heis.group.bch(ys, t * v[None, :])
+        q = d(ys, ys2) / t
+        if np.any(q > d.L + d.tol / t):
+            break
+    assert f"at t={t:.3g}" in str(exc.value)
+    i = int(np.flatnonzero(np.all(ys == exc.value.pair[0], axis=1))[0])
+    np.testing.assert_array_equal(exc.value.pair[1], ys2[i])
+    assert q[i] >= np.max(q) * (1 - 1e-9)
+    if which == "coordinate":
+        assert i == int(np.argmax(q))
