@@ -69,9 +69,12 @@ def parse_grid(text, geometric=True):
             return lo * (hi / lo) ** (np.arange(n) / (n - 1))
         return np.linspace(lo, hi, n)
     try:
-        return np.array([float(v) for v in text.split(",")])
+        vals = np.array([float(v) for v in text.split(",")])
     except ValueError as exc:
         raise InputError(f"malformed grid {text!r}") from exc
+    if not np.all(np.isfinite(vals)):
+        raise InputError(f"grid values must be finite: {text!r}")
+    return vals
 
 
 def parse_direction(space, text):
@@ -87,6 +90,8 @@ def parse_direction(space, text):
             f"direction {text!r} is neither a basis label "
             f"({', '.join(a.labels)}) nor a comma list"
         ) from exc
+    if not np.all(np.isfinite(vals)):
+        raise InputError(f"direction {text!r} has a non-finite coefficient")
     if len(vals) == a.dim:
         return vals
     if len(vals) == space.d1:
@@ -97,9 +102,20 @@ def parse_direction(space, text):
     )
 
 
+def _strict(doc):
+    """``doc`` with every non-finite float as None, which JSON writes null."""
+    if isinstance(doc, dict):
+        return {k: _strict(v) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [_strict(v) for v in doc]
+    if isinstance(doc, float) and not np.isfinite(doc):
+        return None
+    return doc
+
+
 def _json_dump(doc, path):
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(_strict(doc), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -111,7 +127,8 @@ def _csv_dump(path, header, rows, footer_json=None):
             writer.writerow(row)
     if footer_json is not None:
         with open(path, "a") as fh:
-            fh.write("# " + json.dumps(footer_json, sort_keys=True) + "\n")
+            fh.write("# " + json.dumps(_strict(footer_json), sort_keys=True,
+                                       allow_nan=False) + "\n")
 
 
 def _budget_from_args(args):

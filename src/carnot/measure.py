@@ -7,7 +7,9 @@ from the certified per-layer constants (or from a calibrated ball-box
 constant when one is passed); samples whose certified lower bound
 exceeds the radius are decided without the optimizer, membership uses
 the certified upper bound, and the lower bound brackets the
-misclassification band.
+misclassification band.  The path optimizer stops each sample as soon
+as it has a path no longer than the radius, so a member's upper bound
+is certified but not minimal.
 
 Also here: the End/Box samplers (a box is an end set flowed along a
 radial geodesic) and the box volumes and box-to-ball densities built on
@@ -108,13 +110,17 @@ def ball_volume(space: CCSpace, ballbox: BallBoxConstant | None, r, samples,
 
     ``ballbox`` is an optional calibrated constant; without one the box
     and the lower bound rest on the certified per-layer constants alone.
+    A sample is a member when a certified upper bound is at most r: the
+    straight-segment ladder bound, else ``cc_upper_batch`` with
+    ``radius=r``, which stops the sample's optimization once it has a
+    path no longer than r.  ``r`` must be positive and finite.
     """
     samples = int(samples)
     if samples <= 0:
         raise InputError("sample budget must be positive")
     r = float(r)
-    if r <= 0:
-        raise InputError("radius must be positive")
+    if not (np.isfinite(r) and r > 0):
+        raise InputError(f"radius must be positive and finite, got {r}")
     if budget is None:
         budget = MEMBERSHIP_BUDGET
     rng = np.random.default_rng(seed)
@@ -132,7 +138,8 @@ def ball_volume(space: CCSpace, ballbox: BallBoxConstant | None, r, samples,
         need[undecided] = cheap > r
         if np.any(need):
             opt, _ = cc_upper_batch(
-                space, pts[need], budget=budget, seed=int(rng.integers(2**32))
+                space, pts[need], budget=budget, seed=int(rng.integers(2**32)),
+                radius=r,
             )
             upper[need] = np.minimum(upper[need], opt)
     member = upper <= r

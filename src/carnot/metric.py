@@ -14,7 +14,8 @@ the closed-form derivative of the product (``group.row_series``, the
 coadjoint action of the algebra's sparse bracket kernel on rows),
 without per-step Jacobian or ad matrices.  A row with no feasible
 optimized start falls back to the straight segment plus its ladder
-closure.  The path's prefix products are formed layer by layer:
+closure.  Given a radius, a row stops as soon as it has a projected path
+no longer than it, which is all that ball membership asks.  The path's prefix products are formed layer by layer:
 layers 1 and 2 telescope into prefix sums on every group (layer 2 through
 the kernel of the layer-1 x layer-1 -> layer-2 brackets), and higher
 layers come from one product call per block of steps (a block of one
@@ -30,6 +31,7 @@ labelled "calibrated" wherever it is reported.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -682,7 +684,45 @@ def _bfgs_inverse_update(M, s, y):
     M -= (rho[:, None] * My)[:, :, None] * s[:, None, :]
 
 
-def _sqp(group, gram, targets, tol, controls, c, J, max_iter):
+class _RadiusTest:
+    """Which targets of a stacked batch have a path no longer than r.
+
+    Row k of the batch is start k // b of target ``target[k]``; target i
+    was normalized by ``scales[i]``.  A target is decided once one of its
+    rows has a projected path whose length times ``scales[i]`` (the
+    number ``_shortest_paths`` returns) is at most r; ``paths`` keeps
+    that row's controls for every row of the target.  ``rows(sel)`` is a
+    view on the batch rows ``sel`` that shares the decisions.
+    """
+
+    def __init__(self, metric, r, scales, target):
+        self.metric, self.r, self.scales = metric, r, scales
+        self.target = target
+        self.decided = np.zeros(len(scales), dtype=bool)
+        self.paths = None
+
+    def rows(self, sel):
+        view = copy.copy(self)
+        view.target = self.target[sel]
+        return view
+
+    def decide(self, sel, controls, ok):
+        """Decide the targets of rows ``sel`` with projected (``ok``) paths.
+
+        Returns the rows of ``sel`` whose target is decided, now or before.
+        """
+        if self.paths is None:
+            self.paths = np.empty((len(self.scales),) + controls.shape[1:])
+        t = self.target[sel]
+        length = np.sum(self.metric.norm(controls), axis=-1) * self.scales[t]
+        new = np.flatnonzero(ok & (length <= self.r) & ~self.decided[t])
+        hit, first = np.unique(t[new], return_index=True)
+        self.decided[hit] = True
+        self.paths[hit] = controls[new[first]]
+        return self.decided[t]
+
+
+def _sqp(group, gram, targets, tol, controls, c, J, max_iter, radius=None):
     """Feasible SQP on the energy subject to z_m(u) = target, per row.
 
     Starts from (B, m, d) ``controls`` that meet ``tol``, with their
@@ -694,7 +734,8 @@ def _sqp(group, gram, targets, tol, controls, c, J, max_iter):
     steps), and updates M from y = grad L(u+, lam) - grad L(u, lam).  A
     row stops, keeping its last feasible iterate, once its predicted
     decrease -g^T p is at most ``DECREASE_TOL`` (1 + E), when no trial is
-    accepted, or after ``max_iter`` iterations; the stopped rows leave the
+    accepted, after ``max_iter`` iterations, or, given a ``_RadiusTest``
+    on its rows, once its target is decided; the stopped rows leave the
     working arrays.
     """
     B, m, d = controls.shape
@@ -736,6 +777,8 @@ def _sqp(group, gram, targets, tol, controls, c, J, max_iter):
         # un is u on the rows that did not move; every row but the moved
         # ones before the cap stops here
         keep = moved if it + 1 < max_iter else np.zeros_like(moved)
+        if radius is not None:
+            keep &= ~radius.decide(rows, un.reshape(-1, m, d), moved)
         out[rows[~keep]] = un[~keep].reshape(-1, m, d)
         if not np.any(keep):
             break
@@ -750,7 +793,7 @@ def _sqp(group, gram, targets, tol, controls, c, J, max_iter):
     return out
 
 
-def _optimize_controls(group, gram, targets, controls0, budget):
+def _optimize_controls(group, gram, targets, controls0, budget, radius=None):
     """Minimum-energy controls reaching the targets, per row.
 
     targets: (B, n); controls0: (B, m, d) with d = gram.shape[0].  A warm
@@ -760,7 +803,33 @@ def _optimize_controls(group, gram, targets, controls0, budget):
     projected rows descend by feasible SQP (``_sqp``).  A row whose
     projection fails keeps its warm point, with its defect; the callers
     close the defect.  Returns the (B, m, d) controls.
+
+    Given a ``_RadiusTest`` on the rows, each start is first projected
+    as it is; the rows of a target decided there skip the warm stage,
+    and the others start it from ``controls0``.  Targets are decided
+    again after the warm stage's projection and after every SQP
+    iteration, and the rows of a decided target return its deciding
+    path.
     """
+    tol = PROJECT_TOL * (1.0 + np.linalg.norm(targets, axis=-1))
+    out = controls0.copy()
+    live = np.arange(len(targets))
+    if radius is not None:
+        proj, _, _, ok = _project(group, controls0, targets, tol,
+                                  PROJECT_STEPS)
+        live = np.flatnonzero(~radius.decide(live, proj, ok))
+    if len(live):
+        out[live] = _warm_sqp(group, gram, targets[live], tol[live],
+                              controls0[live], budget,
+                              None if radius is None else radius.rows(live))
+    if radius is not None:
+        done = radius.decided[radius.target]
+        out[done] = radius.paths[radius.target[done]]
+    return out
+
+
+def _warm_sqp(group, gram, targets, tol, controls0, budget, radius):
+    """The warm stage, its projection and SQP (``_optimize_controls``)."""
     B, m, d = controls0.shape
     mu = budget.penalty_init
 
@@ -777,12 +846,14 @@ def _optimize_controls(group, gram, targets, controls0, budget):
         options={"maxiter": min(budget.max_iter, WARM_ITER),
                  "ftol": budget.ftol, "gtol": budget.gtol},
     ).x.reshape(B, m, d)  # the result's curvature pairs are not kept
-    tol = PROJECT_TOL * (1.0 + np.linalg.norm(targets, axis=-1))
     controls, c, J, ok = _project(group, warm, targets, tol, PROJECT_STEPS)
     controls[~ok] = warm[~ok]
+    if radius is not None:
+        ok &= ~radius.decide(np.arange(B), controls, ok)
     if np.any(ok):
         controls[ok] = _sqp(group, gram, targets[ok], tol[ok], controls[ok],
-                            c[ok], J[ok], budget.max_iter)
+                            c[ok], J[ok], budget.max_iter,
+                            None if radius is None else radius.rows(ok))
     return controls
 
 
@@ -806,7 +877,7 @@ def _initial_controls(space, targets, budget, rng):
     return np.stack(inits, axis=0)
 
 
-def _shortest_paths(space: CCSpace, targets, budget, seed):
+def _shortest_paths(space: CCSpace, targets, budget, seed, radius=None):
     """Shortest optimized and ladder-closed path from e^0 to each target.
 
     Per row the shortest start whose ladder closure is feasible is kept;
@@ -815,9 +886,16 @@ def _shortest_paths(space: CCSpace, targets, budget, seed):
     residual, paths): ``upper`` is the kept path's length, inf where even
     that is infeasible and 0 for a zero target.  ``paths`` lists (rows,
     controls) per chunk of nonzero targets, the kept paths as
-    unit-duration control displacements, (len(rows), k, d1).
+    unit-duration control displacements, (len(rows), k, d1).  With a
+    ``radius`` the optimizer stops a row once it has a projected path no
+    longer than it (``_RadiusTest``); that path meets the target within
+    ``PROJECT_TOL``, so it is kept without a ladder closure.
     """
     targets = np.atleast_2d(space.algebra.vector(targets))
+    if not np.all(np.isfinite(targets)):
+        raise InputError("targets must be finite")
+    if radius is not None and not (np.isfinite(radius) and radius > 0):
+        raise InputError(f"radius must be positive and finite, got {radius!r}")
     B = targets.shape[0]
     rng = np.random.default_rng(seed)
     upper = np.zeros(B)
@@ -844,14 +922,25 @@ def _shortest_paths(space: CCSpace, targets, budget, seed):
         inits = _initial_controls(space, tg, budget, rng)
         S, b = inits.shape[0], len(idx)
         stacked = np.tile(tg, (S, 1))
+        test = None if radius is None else _RadiusTest(
+            space.metric, radius, scales[idx], np.tile(np.arange(b), S))
         controls = _optimize_controls(
             space.group, space.metric.gram, stacked,
-            inits.reshape(S * b, budget.segments, -1), budget,
+            inits.reshape(S * b, budget.segments, -1), budget, test,
         )
         endpoint = path_endpoints_batch(space.group, controls)
         lengths = np.sum(space.metric.norm(controls), axis=-1)
-        extra, _, res, segs = close_defect_batch(space, endpoint, stacked,
-                                                 collect=True)
+        done = (np.zeros(S * b, dtype=bool) if test is None
+                else np.tile(test.decided, S))
+        extra, res = np.zeros(S * b), np.empty(S * b)
+        extra[~done], _, res[~done], closing = close_defect_batch(
+            space, endpoint[~done], stacked[~done], collect=True)
+        segs = [np.zeros((S * b, space.d1)) for _ in closing]
+        for seg, u in zip(segs, closing):
+            seg[~done] = u
+        if np.any(done):
+            res[done] = np.linalg.norm(
+                space.group.bch(-endpoint[done], stacked[done]), axis=-1)
         total = (lengths + extra).reshape(S, b)
         res = res.reshape(S, b)
         total = np.where(res <= 1e-9 * (1 + np.linalg.norm(tg, axis=-1)),
@@ -898,18 +987,28 @@ def certified_upper_cheap(space: CCSpace, points):
     return _straight_ladder(space, points)[0]
 
 
-def cc_upper_batch(space: CCSpace, targets, budget=None, seed=0):
+def cc_upper_batch(space: CCSpace, targets, budget=None, seed=0,
+                   radius=None):
     """Certified upper bounds d_cc(e^0, target) for a batch of targets.
 
     Returns (upper, residual): ``upper`` is the exact length of a feasible
     witness (optimized path plus exact ladder closure of the remaining
     defect, or for a row with no feasible start the straight segment plus
     its closure); ``residual`` the final coordinate mismatch, ~1e-12.
-    Raises OptimizerFailure only for rows where both are infeasible.
+    Raises OptimizerFailure only for rows where both are infeasible, and
+    InputError for a non-finite target.
+
+    With a ``radius`` (positive, finite) the optimizer stops a row as
+    soon as it has a path no longer than the radius: a decided row's
+    bound is at most the radius and is certified, but it is not the
+    minimum the full optimization would reach.  The rows it leaves
+    undecided run the whole solver, so they converge as without a
+    radius, though in a smaller warm-stage batch.
     """
     if budget is None:
         budget = OptimizerBudget()
-    upper, residual, _ = _shortest_paths(space, targets, budget, seed)
+    upper, residual, _ = _shortest_paths(space, targets, budget, seed,
+                                         radius)
     if np.any(~np.isfinite(upper)):
         bad = int(np.sum(~np.isfinite(upper)))
         raise OptimizerFailure(

@@ -25,7 +25,7 @@ def test_parse_grid_geometric():
 
 
 def test_parse_grid_errors():
-    for bad in ("1:2", "a:b:c", "-1:2:3", "x,y"):
+    for bad in ("1:2", "a:b:c", "-1:2:3", "x,y", "1,nan", "inf,2", "0.5,-inf"):
         with pytest.raises(InputError):
             parse_grid(bad)
 
@@ -35,7 +35,7 @@ def test_parse_direction():
     assert np.allclose(parse_direction(space, "Y"), [0, 1, 0])
     assert np.allclose(parse_direction(space, "1,2"), [1, 2, 0])
     assert np.allclose(parse_direction(space, "1,2,3"), [1, 2, 3])
-    for bad in ("W", "1", "1,2,3,4"):
+    for bad in ("W", "1", "1,2,3,4", "nan,0,0", "0,inf", "1,2,-inf"):
         with pytest.raises(InputError):
             parse_direction(space, bad)
 
@@ -73,6 +73,32 @@ def test_unknown_group_exit_1(tmp_path):
 def test_bad_direction_exit_1(tmp_path):
     assert run(["bch", "--group", "heisenberg", "--x", "BAD", "--y", "Y",
                 "--out", str(tmp_path)]) == 1
+
+
+def test_non_finite_input_exit_1(tmp_path):
+    common = ["--group", "heisenberg", "--out", str(tmp_path)]
+    for radius in ("inf", "nan", "-inf"):
+        assert run(["ball-volume", f"--radius={radius}", "--samples", "10"]
+                   + common) == 1
+    assert run(["distance", "--x=nan,0,0", "--y", "X"] + common) == 1
+    assert run(["distance", "--x", "X", "--y", "0,0,inf"] + common) == 1
+    assert not list(tmp_path.iterdir())
+
+
+def test_reports_are_strict_json(tmp_path):
+    # one sample, and no member: the band fraction is inf, written as null
+    assert run(["ball-volume", "--group", "heisenberg", "--radius", "1",
+                "--samples", "1", "--seed", "3", "--out", str(tmp_path)]) == 0
+    footer = (tmp_path / "ball-volume.csv").read_text().splitlines()[-1][2:]
+
+    def refuse(token):
+        raise AssertionError(f"non-finite number {token} in a report")
+
+    assert json.loads(footer, parse_constant=refuse)["band_fraction"] is None
+    path = tmp_path / "doc.json"
+    cli._json_dump({"a": [1.5, float("nan")], "b": (float("-inf"), 2)}, path)
+    assert json.loads(path.read_text(), parse_constant=refuse) == {
+        "a": [1.5, None], "b": [None, 2]}
 
 
 def test_distance_report(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from carnot import catalog
 from carnot.errors import InputError
 from carnot.measure import (
+    MEMBERSHIP_BUDGET,
     VolumeEstimate,
     ball_volume,
     box_ball_density,
@@ -15,7 +16,12 @@ from carnot.measure import (
     fit_dimension,
     homogeneous_dimension,
 )
-from carnot.metric import BallBoxConstant, CCSpace
+from carnot.metric import (
+    BallBoxConstant,
+    CCSpace,
+    cc_upper_batch,
+    lower_bounds_batch,
+)
 
 
 ABELIAN_BB = BallBoxConstant(A=1.0, samples=0, seed=0, safety=1.0,
@@ -61,10 +67,26 @@ def test_input_validation(heis, heis_ballbox):
     assert half[2] == pytest.approx(1.0 / (2.0 * np.pi), rel=1e-15)
     est = ball_volume(heis, None, 1.0, 100, seed=0)
     assert 0 < est.volume <= np.prod(2.0 * half)
-    with pytest.raises(InputError):
-        ball_volume(heis, heis_ballbox, -1.0, 100)
+    for radius in (-1.0, 0.0, np.nan, np.inf):
+        with pytest.raises(InputError):
+            ball_volume(heis, heis_ballbox, radius, 100)
     with pytest.raises(InputError):
         ball_volume(heis, heis_ballbox, 1.0, 0)
+
+
+def test_radius_keeps_the_members(heis):
+    # on samples of the certified box, stopping each row once it has a
+    # path no longer than r changes no member
+    r = 1.0
+    half = enclosing_box_halfwidths(heis, None, r)
+    pts = np.random.default_rng(10).uniform(-1.0, 1.0, (1500, 3)) * half
+    pts = pts[lower_bounds_batch(heis, pts)[0] <= r]
+    full, _ = cc_upper_batch(heis, pts, budget=MEMBERSHIP_BUDGET, seed=11)
+    stopped, residual = cc_upper_batch(heis, pts, budget=MEMBERSHIP_BUDGET,
+                                       seed=11, radius=r)
+    assert np.array_equal(stopped <= r, full <= r)
+    assert np.all(residual <= 1e-9)
+    assert np.all(stopped >= full * (1 - 1e-12))
 
 
 def _fake_estimates(radii, q):

@@ -489,8 +489,8 @@ def test_failed_row_falls_back_to_the_ladder(heis, monkeypatch, rng):
     pts = rng.standard_normal((6, 3))
     solve = metric._optimize_controls
 
-    def spoiled(group, gram, targets, controls0, budget):
-        controls = solve(group, gram, targets, controls0, budget)
+    def spoiled(group, gram, targets, controls0, budget, radius=None):
+        controls = solve(group, gram, targets, controls0, budget, radius)
         # row 0 of every start: the starts are stacked start-major
         controls[:: len(targets) // budget.starts] = np.nan
         return controls
@@ -503,3 +503,63 @@ def test_failed_row_falls_back_to_the_ladder(heis, monkeypatch, rng):
     est = cc_upper(heis, np.zeros(3), pts[0], budget=FAST, seed=26)
     assert est.upper == pytest.approx(upper[0], rel=1e-12)
     assert np.allclose(est.witness.endpoint(heis), pts[0], atol=1e-9)
+
+
+def _sphere_points(count, seed):
+    # Heisenberg points at exact distances spread over [0.5, 1.5]
+    rng = np.random.default_rng(seed)
+    pts = rng.standard_normal((count, 3))
+    scale = heisenberg_distance(pts) / rng.uniform(0.5, 1.5, count)
+    return pts / scale[:, None] ** np.array([1, 1, 2])
+
+
+def test_decided_rows_are_certified(heis):
+    # a decided row keeps a projected path no longer than the radius: a
+    # bound at most r, feasible, and at least the exact distance
+    pts = _sphere_points(300, 27)
+    exact = heisenberg_distance(pts)
+    full, _ = cc_upper_batch(heis, pts, budget=FAST, seed=28)
+    upper, residual = cc_upper_batch(heis, pts, budget=FAST, seed=28,
+                                     radius=1.0)
+    decided = upper <= 1.0
+    assert np.all(residual[decided] <= 1e-9)
+    assert np.all(upper >= exact * (1 - 1e-12))
+    # the same members, and some of them stopped short of the minimum
+    assert np.array_equal(decided, full <= 1.0)
+    assert np.any(upper[decided] > full[decided] * (1 + 1e-6))
+    # the undecided rows ran to convergence
+    assert np.all(upper[~decided] == pytest.approx(full[~decided], rel=1e-6))
+
+
+def test_unmet_radius_changes_nothing(heis, engel_space):
+    for space, count in ((heis, 40), (engel_space, 8)):
+        rng = np.random.default_rng(29)
+        targets = rng.standard_normal((count, space.algebra.dim))
+        full = cc_upper_batch(space, targets, budget=FAST, seed=30)
+        unmet = cc_upper_batch(space, targets, budget=FAST, seed=30,
+                               radius=1e-3)
+        assert np.array_equal(unmet[0], full[0])
+        assert np.array_equal(unmet[1], full[1])
+
+
+def test_radius_decides_before_the_warm_stage(heis, monkeypatch, rng):
+    # straight starts reach horizontal targets: every target is decided
+    # by its first projection, with no L-BFGS-B call
+    def refuse(*args, **kwargs):
+        raise AssertionError("warm stage ran on decided rows")
+
+    monkeypatch.setattr(metric, "minimize", refuse)
+    pts = heis.embed_horizontal(rng.standard_normal((10, 2)))
+    upper, residual = cc_upper_batch(heis, pts, budget=FAST, seed=31,
+                                     radius=10.0)
+    assert upper == pytest.approx(np.linalg.norm(pts, axis=-1), rel=1e-12)
+    assert np.all(residual <= 1e-12)
+
+
+def test_non_finite_input_rejected(heis):
+    for bad in ([np.nan, 0, 0], [np.inf, 0, 0], [0, 0, -np.inf]):
+        with pytest.raises(InputError):
+            cc_upper_batch(heis, np.array([[1.0, 0, 0], bad]))
+    for radius in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(InputError):
+            cc_upper_batch(heis, np.array([[1.0, 0, 0]]), radius=radius)
