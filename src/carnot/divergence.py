@@ -132,17 +132,14 @@ def divergence_profile(space: CCSpace, pair: GeodesicPair, budget=None,
         budget = OptimizerBudget(segments=12, starts=2)
     disp = np.stack([displacement(space, pair, t) for t in pair.t_grid])
     lower, _ = lower_bounds_batch(space, disp, ballbox)
-    complete = True
     try:
         upper, _ = cc_upper_batch(space, disp, budget=budget, seed=seed)
     except OptimizerFailure:
         upper = np.full(len(pair.t_grid), np.inf)
-        complete = False
     upper = np.minimum(upper, certified_upper_cheap(space, disp))
-    complete = complete or bool(np.all(np.isfinite(upper)))
     rows = [(float(t), float(lo), float(hi))
             for t, lo, hi in zip(pair.t_grid, lower, upper)]
-    if not complete or np.any(~np.isfinite(upper)):
+    if np.any(~np.isfinite(upper)):
         return DivergenceFit(rows=rows, exponent=np.nan, complete=False,
                              label="carnot")
     mids = 0.5 * (np.minimum(lower, upper) + upper)

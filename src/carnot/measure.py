@@ -7,9 +7,10 @@ from the certified per-layer constants (or from a calibrated ball-box
 constant when one is passed); samples whose certified lower bound
 exceeds the radius are decided without the optimizer, membership uses
 the certified upper bound, and the lower bound brackets the
-misclassification band.  The path optimizer stops each sample as soon
-as it has a path no longer than the radius, so a member's upper bound
-is certified but not minimal.
+misclassification band.  Every sample that reaches the path optimizer
+runs the one ``MEMBERSHIP_BUDGET``, and stops, by itself, as soon as it
+has a path no longer than the radius, so a member's upper bound is
+certified but not minimal.
 
 Also here: the End/Box samplers (a box is an end set flowed along a
 radial geodesic) and the box volumes and box-to-ball densities built on
@@ -105,15 +106,16 @@ def enclosing_box_halfwidths(space: CCSpace, ballbox: BallBoxConstant | None,
 
 
 def ball_volume(space: CCSpace, ballbox: BallBoxConstant | None, r, samples,
-                seed=0, budget=None) -> VolumeEstimate:
+                seed=0) -> VolumeEstimate:
     """Monte-Carlo Lebesgue volume of the CC ball of radius r at identity.
 
     ``ballbox`` is an optional calibrated constant; without one the box
     and the lower bound rest on the certified per-layer constants alone.
     A sample is a member when a certified upper bound is at most r: the
-    straight-segment ladder bound, else ``cc_upper_batch`` with
-    ``radius=r``, which stops the sample's optimization once it has a
-    path no longer than r.  ``r`` must be positive and finite.
+    straight-segment ladder bound, else ``cc_upper_batch`` at the fixed
+    ``MEMBERSHIP_BUDGET`` with ``radius=r``, which stops the sample's
+    optimization once it has a path no longer than r.  ``r`` must be
+    positive and finite.
     """
     samples = int(samples)
     if samples <= 0:
@@ -121,8 +123,6 @@ def ball_volume(space: CCSpace, ballbox: BallBoxConstant | None, r, samples,
     r = float(r)
     if not (np.isfinite(r) and r > 0):
         raise InputError(f"radius must be positive and finite, got {r}")
-    if budget is None:
-        budget = MEMBERSHIP_BUDGET
     rng = np.random.default_rng(seed)
     half = enclosing_box_halfwidths(space, ballbox, r)
     box_vol = float(np.prod(2 * half))
@@ -138,8 +138,8 @@ def ball_volume(space: CCSpace, ballbox: BallBoxConstant | None, r, samples,
         need[undecided] = cheap > r
         if np.any(need):
             opt, _ = cc_upper_batch(
-                space, pts[need], budget=budget, seed=int(rng.integers(2**32)),
-                radius=r,
+                space, pts[need], budget=MEMBERSHIP_BUDGET,
+                seed=int(rng.integers(2**32)), radius=r,
             )
             upper[need] = np.minimum(upper[need], opt)
     member = upper <= r
@@ -185,16 +185,10 @@ def fit_dimension(estimates) -> DimensionFit:
 
 
 def dimension_experiment(space: CCSpace, ballbox, radii, samples_per_radius,
-                         seed=0, budget=None):
+                         seed=0):
     """Ball volumes across a radius sweep plus the dimension fit."""
-    rows = []
-    for idx, r in enumerate(radii):
-        rows.append(
-            ball_volume(
-                space, ballbox, r, samples_per_radius,
-                seed=seed + idx, budget=budget,
-            )
-        )
+    rows = [ball_volume(space, ballbox, r, samples_per_radius, seed=seed + idx)
+            for idx, r in enumerate(radii)]
     return rows, fit_dimension(rows)
 
 
@@ -340,7 +334,7 @@ class DensityReport:
 
 
 def box_ball_density(space: CCSpace, ballbox, v, beta, t_values, samples,
-                     seed=0, budget=None) -> DensityReport:
+                     seed=0) -> DensityReport:
     """Ratio vol(Box(e^0, tv, t beta)) / vol(B_cc(e^0, tR)) per height t."""
     a = space.algebra
     v = a.vector(v)
@@ -360,6 +354,6 @@ def box_ball_density(space: CCSpace, ballbox, v, beta, t_values, samples,
         bvol, _ = box_volume(space, t * v, t * beta, samples,
                              seed=seed + 101 * idx)
         ball = ball_volume(space, ballbox, t * R, samples,
-                           seed=seed + 101 * idx + 1, budget=budget)
+                           seed=seed + 101 * idx + 1)
         rows.append((t, bvol, ball.volume, bvol / ball.volume))
     return DensityReport(rows=rows, enclosing_radius_factor=R)

@@ -14,8 +14,10 @@ the closed-form derivative of the product (``group.row_series``, the
 coadjoint action of the algebra's sparse bracket kernel on rows),
 without per-step Jacobian or ad matrices.  A row with no feasible
 optimized start falls back to the straight segment plus its ladder
-closure.  Given a radius, a row stops as soon as it has a projected path
-no longer than it, which is all that ball membership asks.  The path's prefix products are formed layer by layer:
+closure.  Stopping is a rule per row: the closure moves only the rows
+still off their targets, and given a radius a row stops as soon as it
+has a projected path no longer than it, which is all that ball
+membership asks.  The path's prefix products are formed layer by layer:
 layers 1 and 2 telescope into prefix sums on every group (layer 2 through
 the kernel of the layer-1 x layer-1 -> layer-2 brackets), and higher
 layers come from one product call per block of steps (a block of one
@@ -31,7 +33,6 @@ labelled "calibrated" wherever it is reported.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 
@@ -445,48 +446,67 @@ class LadderPlan:
 
 def close_defect_batch(space: CCSpace, endpoints, targets, max_passes=60,
                        tol=EXACT_TOL, collect=False):
-    """Exactly close endpoint defects with commutator-ladder moves.
+    """Exactly close endpoint defects with commutator-ladder moves, per row.
 
     ``endpoints`` and ``targets`` are (B, n) coordinate arrays.  Returns
     (extra_length, final_endpoints, residual, segments) where segments is
     the ordered list of appended (B, d1) control displacements (only if
-    ``collect``).  Moves are folded through the exact group product, so
-    the remaining residual contracts superlinearly; for groups of step
-    <= 3 a single pass is already exact up to roundoff.
+    ``collect``).  A row is moved only while its residual exceeds
+    ``tol`` (1 + |target|): a row that meets it leaves with its residual
+    and no added length, and its segments are zero from then on.  Moves
+    are folded through the exact group product, so the remaining
+    residual contracts superlinearly; for groups of step <= 3 a single
+    pass is already exact up to roundoff.
     """
     group = space.group
     algebra = space.algebra
-    endpoints = np.atleast_2d(np.asarray(endpoints, dtype=float))
+    endpoints = np.array(endpoints, dtype=float, ndmin=2)
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    extra = np.zeros(endpoints.shape[0])
+    B = endpoints.shape[0]
+    extra = np.zeros(B)
     segs = [] if collect else None
     plan = space.ladder()
-    scale_ref = 1.0 + np.linalg.norm(targets, axis=-1)
+    off = tol * (1.0 + np.linalg.norm(targets, axis=-1))
+    defect = group.bch(-endpoints, targets)
+    residual = np.linalg.norm(defect, axis=-1)
+    live = np.flatnonzero(residual > off)
     for _ in range(max_passes):
-        defect = group.bch(-endpoints, targets)
-        residual = np.linalg.norm(defect, axis=-1)
-        if np.all(residual <= tol * scale_ref):
+        if not len(live):
             break
+        every = len(live) == B  # then no gather and no scatter
+        rows = slice(None) if every else live
+        ends, tg = endpoints[rows], targets[rows]
+        moves = []
         # layer 1: one straight segment
-        u1 = defect[..., : space.d1]
-        if np.any(np.abs(u1) > 0):
-            endpoints = group.bch(endpoints, space.embed_horizontal(u1))
-            extra += space.metric.norm(u1)
-            if collect:
-                segs.append(u1)
+        u1 = defect[rows, : space.d1]
+        if np.any(u1):
+            ends = group.bch(ends, space.embed_horizontal(u1))
+            extra[rows] += space.metric.norm(u1)
+            moves.append(u1)
         for p in range(2, algebra.num_layers + 1):
-            defect = group.bch(-endpoints, targets)
-            coeffs = defect[..., algebra.layer_slice(p)]
-            if not np.any(np.abs(coeffs) > 0):
+            coeffs = group.bch(-ends, tg)[:, algebra.layer_slice(p)]
+            if not np.any(coeffs):
                 continue
             controls, lengths = plan.loop_batch(p, coeffs)
             for u in controls:
-                endpoints = group.bch(endpoints, space.embed_horizontal(u))
-            extra += lengths
-            if collect:
-                segs.extend(controls)
-    else:
-        residual = np.linalg.norm(group.bch(-endpoints, targets), axis=-1)
+                ends = group.bch(ends, space.embed_horizontal(u))
+            extra[rows] += lengths
+            moves.extend(controls)
+        # the end-of-pass defect is the next pass's layer-1 move
+        left = group.bch(-ends, tg)
+        if every:
+            endpoints, defect = ends, left
+            residual = np.linalg.norm(left, axis=-1)
+        else:
+            endpoints[live], defect[live] = ends, left
+            residual[live] = np.linalg.norm(left, axis=-1)
+        if collect and every:
+            segs.extend(moves)
+        elif collect:
+            for u in moves:
+                segs.append(np.zeros((B, space.d1)))
+                segs[-1][live] = u
+        live = live[residual[live] > off[live]]
     return extra, endpoints, residual, segs
 
 
@@ -684,42 +704,19 @@ def _bfgs_inverse_update(M, s, y):
     M -= (rho[:, None] * My)[:, :, None] * s[:, None, :]
 
 
-class _RadiusTest:
-    """Which targets of a stacked batch have a path no longer than r.
+def _short(gram, radius, controls, ok, rows):
+    """The rows of ``ok`` whose (B, m, d) ``controls`` are no longer than r.
 
-    Row k of the batch is start k // b of target ``target[k]``; target i
-    was normalized by ``scales[i]``.  A target is decided once one of its
-    rows has a projected path whose length times ``scales[i]`` (the
-    number ``_shortest_paths`` returns) is at most r; ``paths`` keeps
-    that row's controls for every row of the target.  ``rows(sel)`` is a
-    view on the batch rows ``sel`` that shares the decisions.
+    ``radius`` is (r, scale) or None (no row is short); row k's length is
+    multiplied by ``scale[rows[k]]``, which makes it the bound that
+    ``_shortest_paths`` returns for a path that needs no closure.
     """
-
-    def __init__(self, metric, r, scales, target):
-        self.metric, self.r, self.scales = metric, r, scales
-        self.target = target
-        self.decided = np.zeros(len(scales), dtype=bool)
-        self.paths = None
-
-    def rows(self, sel):
-        view = copy.copy(self)
-        view.target = self.target[sel]
-        return view
-
-    def decide(self, sel, controls, ok):
-        """Decide the targets of rows ``sel`` with projected (``ok``) paths.
-
-        Returns the rows of ``sel`` whose target is decided, now or before.
-        """
-        if self.paths is None:
-            self.paths = np.empty((len(self.scales),) + controls.shape[1:])
-        t = self.target[sel]
-        length = np.sum(self.metric.norm(controls), axis=-1) * self.scales[t]
-        new = np.flatnonzero(ok & (length <= self.r) & ~self.decided[t])
-        hit, first = np.unique(t[new], return_index=True)
-        self.decided[hit] = True
-        self.paths[hit] = controls[new[first]]
-        return self.decided[t]
+    if radius is None:
+        return np.zeros_like(ok)
+    r, scale = radius
+    length = np.sum(np.sqrt(np.einsum("...i,...i->...", controls @ gram,
+                                      controls)), axis=-1)
+    return ok & (length * scale[rows] <= r)
 
 
 def _sqp(group, gram, targets, tol, controls, c, J, max_iter, radius=None):
@@ -734,9 +731,10 @@ def _sqp(group, gram, targets, tol, controls, c, J, max_iter, radius=None):
     steps), and updates M from y = grad L(u+, lam) - grad L(u, lam).  A
     row stops, keeping its last feasible iterate, once its predicted
     decrease -g^T p is at most ``DECREASE_TOL`` (1 + E), when no trial is
-    accepted, after ``max_iter`` iterations, or, given a ``_RadiusTest``
-    on its rows, once its target is decided; the stopped rows leave the
-    working arrays.
+    accepted, after ``max_iter`` iterations, or, given a ``radius``
+    (r, scale) with a scale per row, once its iterate's length times its
+    scale is at most r (``_short``); the stopped rows leave the working
+    arrays.
     """
     B, m, d = controls.shape
     N = m * d
@@ -777,8 +775,7 @@ def _sqp(group, gram, targets, tol, controls, c, J, max_iter, radius=None):
         # un is u on the rows that did not move; every row but the moved
         # ones before the cap stops here
         keep = moved if it + 1 < max_iter else np.zeros_like(moved)
-        if radius is not None:
-            keep &= ~radius.decide(rows, un.reshape(-1, m, d), moved)
+        keep &= ~_short(gram, radius, un.reshape(-1, m, d), moved, rows)
         out[rows[~keep]] = un[~keep].reshape(-1, m, d)
         if not np.any(keep):
             break
@@ -804,56 +801,49 @@ def _optimize_controls(group, gram, targets, controls0, budget, radius=None):
     projection fails keeps its warm point, with its defect; the callers
     close the defect.  Returns the (B, m, d) controls.
 
-    Given a ``_RadiusTest`` on the rows, each start is first projected
-    as it is; the rows of a target decided there skip the warm stage,
-    and the others start it from ``controls0``.  Targets are decided
-    again after the warm stage's projection and after every SQP
-    iteration, and the rows of a decided target return its deciding
-    path.
+    ``radius`` is None or (r, scale), a scale per row.  Given one, a row
+    stops with the first projected path whose length times its scale is
+    at most r (``_short``): its start projected as it is, which spares
+    it the warm stage, then the warm stage's projection, then each SQP
+    iterate.  The other rows enter the warm stage from ``controls0``.
     """
     tol = PROJECT_TOL * (1.0 + np.linalg.norm(targets, axis=-1))
-    out = controls0.copy()
+    controls = controls0.copy()
     live = np.arange(len(targets))
     if radius is not None:
         proj, _, _, ok = _project(group, controls0, targets, tol,
                                   PROJECT_STEPS)
-        live = np.flatnonzero(~radius.decide(live, proj, ok))
-    if len(live):
-        out[live] = _warm_sqp(group, gram, targets[live], tol[live],
-                              controls0[live], budget,
-                              None if radius is None else radius.rows(live))
-    if radius is not None:
-        done = radius.decided[radius.target]
-        out[done] = radius.paths[radius.target[done]]
-    return out
-
-
-def _warm_sqp(group, gram, targets, tol, controls0, budget, radius):
-    """The warm stage, its projection and SQP (``_optimize_controls``)."""
-    B, m, d = controls0.shape
+        short = _short(gram, radius, proj, ok, live)
+        controls[short] = proj[short]
+        live = live[~short]
+        if not len(live):
+            return controls
+    start, tg = controls0[live], targets[live]
+    B, m, d = start.shape
     mu = budget.penalty_init
 
     def fun(flat):
-        v, g = _penalty_value_grad(group, gram, flat.reshape(B, m, d),
-                                   targets, mu)
+        v, g = _penalty_value_grad(group, gram, flat.reshape(B, m, d), tg, mu)
         return v, g.ravel()
 
     warm = minimize(
         fun,
-        controls0.ravel(),
+        start.ravel(),
         jac=True,
         method="L-BFGS-B",
         options={"maxiter": min(budget.max_iter, WARM_ITER),
                  "ftol": budget.ftol, "gtol": budget.gtol},
     ).x.reshape(B, m, d)  # the result's curvature pairs are not kept
-    controls, c, J, ok = _project(group, warm, targets, tol, PROJECT_STEPS)
-    controls[~ok] = warm[~ok]
-    if radius is not None:
-        ok &= ~radius.decide(np.arange(B), controls, ok)
-    if np.any(ok):
-        controls[ok] = _sqp(group, gram, targets[ok], tol[ok], controls[ok],
-                            c[ok], J[ok], budget.max_iter,
-                            None if radius is None else radius.rows(ok))
+    proj, c, J, ok = _project(group, warm, tg, tol[live], PROJECT_STEPS)
+    proj[~ok] = warm[~ok]
+    controls[live] = proj
+    ok &= ~_short(gram, radius, proj, ok, live)
+    live, c, J = live[ok], c[ok], J[ok]
+    if len(live):
+        controls[live] = _sqp(
+            group, gram, targets[live], tol[live], controls[live], c, J,
+            budget.max_iter,
+            None if radius is None else (radius[0], radius[1][live]))
     return controls
 
 
@@ -887,9 +877,11 @@ def _shortest_paths(space: CCSpace, targets, budget, seed, radius=None):
     that is infeasible and 0 for a zero target.  ``paths`` lists (rows,
     controls) per chunk of nonzero targets, the kept paths as
     unit-duration control displacements, (len(rows), k, d1).  With a
-    ``radius`` the optimizer stops a row once it has a projected path no
-    longer than it (``_RadiusTest``); that path meets the target within
-    ``PROJECT_TOL``, so it is kept without a ladder closure.
+    ``radius`` the optimizer stops each start once it has a projected
+    path whose returned length is at most the radius
+    (``_optimize_controls``); that path meets the target within
+    ``PROJECT_TOL``, below the closure's ``EXACT_TOL``, so its closure
+    adds nothing.
     """
     targets = np.atleast_2d(space.algebra.vector(targets))
     if not np.all(np.isfinite(targets)):
@@ -922,25 +914,15 @@ def _shortest_paths(space: CCSpace, targets, budget, seed, radius=None):
         inits = _initial_controls(space, tg, budget, rng)
         S, b = inits.shape[0], len(idx)
         stacked = np.tile(tg, (S, 1))
-        test = None if radius is None else _RadiusTest(
-            space.metric, radius, scales[idx], np.tile(np.arange(b), S))
         controls = _optimize_controls(
             space.group, space.metric.gram, stacked,
-            inits.reshape(S * b, budget.segments, -1), budget, test,
+            inits.reshape(S * b, budget.segments, -1), budget,
+            None if radius is None else (radius, np.tile(scales[idx], S)),
         )
         endpoint = path_endpoints_batch(space.group, controls)
         lengths = np.sum(space.metric.norm(controls), axis=-1)
-        done = (np.zeros(S * b, dtype=bool) if test is None
-                else np.tile(test.decided, S))
-        extra, res = np.zeros(S * b), np.empty(S * b)
-        extra[~done], _, res[~done], closing = close_defect_batch(
-            space, endpoint[~done], stacked[~done], collect=True)
-        segs = [np.zeros((S * b, space.d1)) for _ in closing]
-        for seg, u in zip(segs, closing):
-            seg[~done] = u
-        if np.any(done):
-            res[done] = np.linalg.norm(
-                space.group.bch(-endpoint[done], stacked[done]), axis=-1)
+        extra, _, res, segs = close_defect_batch(space, endpoint, stacked,
+                                                 collect=True)
         total = (lengths + extra).reshape(S, b)
         res = res.reshape(S, b)
         total = np.where(res <= 1e-9 * (1 + np.linalg.norm(tg, axis=-1)),
@@ -998,12 +980,13 @@ def cc_upper_batch(space: CCSpace, targets, budget=None, seed=0,
     Raises OptimizerFailure only for rows where both are infeasible, and
     InputError for a non-finite target.
 
-    With a ``radius`` (positive, finite) the optimizer stops a row as
-    soon as it has a path no longer than the radius: a decided row's
-    bound is at most the radius and is certified, but it is not the
-    minimum the full optimization would reach.  The rows it leaves
-    undecided run the whole solver, so they converge as without a
-    radius, though in a smaller warm-stage batch.
+    With a ``radius`` (positive, finite) each start of a row stops as
+    soon as it has a path no longer than the radius, and the row keeps
+    its shortest start: a decided row's bound is at most the radius and
+    is certified, but it is not the minimum the full optimization would
+    reach.  A start that never gets that short runs the whole solver, so
+    it converges as without a radius, though in a smaller warm-stage
+    batch.
     """
     if budget is None:
         budget = OptimizerBudget()

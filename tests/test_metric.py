@@ -141,6 +141,26 @@ def test_ladder_closure_engel_exact(engel_space):
     assert extra[0] > 0
 
 
+@pytest.mark.parametrize("case", ["heisenberg", "engel"])
+def test_closure_moves_only_the_rows_still_off(case, rng):
+    # a row 3e-14 off its target meets the tolerance: a far-off row in its
+    # batch adds no length to it and leaves it the residual it has alone
+    space = CCSpace(catalog.get(case))
+    targets = rng.uniform(-0.5, 0.5, (2, space.algebra.dim))
+    endpoints = targets.copy()
+    endpoints[0, -1] += 3e-14
+    endpoints[1] = 0.0
+    extra, closed, res, segs = close_defect_batch(space, endpoints, targets,
+                                                  collect=True)
+    alone, _, alone_res, _ = close_defect_batch(space, endpoints[:1],
+                                                targets[:1])
+    assert extra[0] == alone[0] == 0.0
+    assert res[0] == alone_res[0]
+    assert np.array_equal(closed[0], endpoints[0])
+    assert all(np.all(u[0] == 0.0) for u in segs)
+    assert extra[1] > 0 and res[1] < 1e-10
+
+
 def test_lower_bounds(heis, heis_ballbox):
     x = np.zeros(3)
     y = np.array([0.6, -0.8, 0.0])
