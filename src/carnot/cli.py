@@ -132,11 +132,8 @@ def _csv_dump(path, header, rows, footer_json=None):
 
 
 def _budget_from_args(args):
-    kw = {}
-    if getattr(args, "segments", None):
-        kw["segments"] = args.segments
-    if getattr(args, "starts", None):
-        kw["starts"] = args.starts
+    kw = {name: getattr(args, name) for name in ("segments", "starts")
+          if getattr(args, name, None) is not None}
     return OptimizerBudget().replace(**kw) if kw else None
 
 

@@ -271,7 +271,11 @@ class DerivateEstimate:
 def default_t_grid(levels=10, t_max=1.0):
     """Geometric grid of ratio 0.5, decreasing, floored at 1e-5."""
     grid = t_max * 0.5 ** np.arange(levels)
-    return grid[grid >= 1e-5]
+    grid = grid[np.isfinite(grid) & (grid >= 1e-5)]
+    if not len(grid):
+        raise InputError(f"levels={levels!r} and t_max={t_max!r} give no "
+                         f"finite t >= 1e-5")
+    return grid
 
 
 def _tail_fit(ts, qs):
@@ -306,11 +310,14 @@ def derivate(space: CCSpace, d: LipschitzDistance, x, v, t_grid=None,
     v = space.algebra.vector(v)
     if np.any(np.abs(v[space.d1:]) > 0):
         raise InputError("derivate direction must lie in layer 1")
+    if samples_per_t < 1:
+        raise InputError(
+            f"samples per t must be positive, got {samples_per_t!r}")
     if t_grid is None:
         t_grid = default_t_grid()
     t_grid = np.asarray(sorted(t_grid, reverse=True), dtype=float)
-    if np.any(t_grid < 1e-5):
-        raise InputError("t grid entries must stay above 1e-5")
+    if not len(t_grid) or np.any(t_grid < 1e-5):
+        raise InputError("t grid must be nonempty with entries above 1e-5")
     vnorm = float(space.metric.norm(v[: space.d1]))
     rng = np.random.default_rng(seed)
     ys = np.concatenate([sample_ball(space, x, t, samples_per_t, rng, ballbox)
@@ -396,10 +403,14 @@ def spread_estimate(space: CCSpace, v, epsilon_grid, t_grid, samples=64,
     v = space.algebra.vector(v)
     if np.any(np.abs(v[space.d1:]) > 0):
         raise InputError("spread direction must lie in layer 1")
+    if samples < 1:
+        raise InputError(f"samples must be positive, got {samples!r}")
     if budget is None:
         budget = MEMBERSHIP_BUDGET
     rng = np.random.default_rng(seed)
     cells = [(eps, t) for eps in epsilon_grid for t in t_grid]
+    if not cells:
+        raise InputError("epsilon and t grids must be nonempty")
     ends = np.concatenate([
         sample_end(space, BoxSpec(center=np.zeros(space.algebra.dim),
                                   direction=t * v, epsilon=t * eps),

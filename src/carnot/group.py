@@ -23,7 +23,8 @@ psi(A) = A / (1 - e^{-A}) and phi(A) = (1 - e^{-A}) / A, both truncated
 at the nilpotency degree, z = bch(x, y) has Jacobians
 psi(-ad z) phi(-ad x) and psi(ad z) phi(ad y).  ``row_series`` applies
 such a series to rows by Horner's rule; the Jacobians and the path
-optimizer's gradient go through it.
+optimizer's pullback of covectors with content above layer 2 go through
+it.
 """
 
 from __future__ import annotations
@@ -50,7 +51,9 @@ class BchTable:
     The plan truncates every series at the algebra's nilpotency degree D,
     keeps the max(1, (D - 1) // 2) Gauss-Legendre nodes on [0, 1] that
     integrate Baker's integrand exactly, and holds the bracket kernel of
-    the layer-1 x layer-1 -> layer-2 block for the path prefix sums.
+    the layer-1 x layer-1 -> layer-2 block for the path prefix sums and,
+    per control dimension, the layer-2 structure constants that pull
+    covectors back along a path (``bracket_rows``).
     """
 
     def __init__(self, algebra: GradedAlgebra):
@@ -80,6 +83,22 @@ class BchTable:
         d1 = algebra.layer_dims[0]
         top = sum(algebra.layer_dims[:2])
         self.layer2 = BracketKernel(algebra.structure[:d1, :d1, d1:top])
+        self._bracket_rows = {}
+
+    def bracket_rows(self, d):
+        """The (d1 d2, d) matrix K[(i, l), k] = c[i, k, l] / 2, cached per d.
+
+        i runs over layer 1, l over layer 2 and k over the first d
+        coordinates, so a layer-2 covector w pulls the map
+        u -> [a, u] / 2 back to the row (a ⊗ w) K for a layer-1 vector a.
+        """
+        if d not in self._bracket_rows:
+            a = self.algebra
+            d1 = a.layer_dims[0]
+            block = a.structure[:d1, :d, d1:sum(a.layer_dims[:2])]
+            self._bracket_rows[d] = 0.5 * np.ascontiguousarray(
+                block.transpose(0, 2, 1)).reshape(-1, d)
+        return self._bracket_rows[d]
 
     def _check(self, x, y):
         x = self.algebra.vector(x)

@@ -9,10 +9,16 @@ optimizer minimizes path energy subject to reaching the target: a short
 L-BFGS-B warm stage on energy plus a penalty on the endpoint misfit,
 Gauss-Newton projection onto the endpoint constraint, then feasible SQP
 per row, whose stationary rows are the discrete normal extremals.  The
-misfit's gradient and the endpoint's Jacobian are pulled back through
-the closed-form derivative of the product (``group.row_series``, the
-coadjoint action of the algebra's sparse bracket kernel on rows),
-without per-step Jacobian or ad matrices.  A row with no feasible
+misfit's gradient and the endpoint's Jacobian are pulled back layer by
+layer, without per-step Jacobian or ad matrices: layers 1 and 2 of the
+endpoint are a sum and a telescoped bracket sum, so a covector with no
+content above layer 2 pulls back in closed form, by one matmul against
+the layer-2 structure constants; only a covector with content above
+layer 2 goes through the closed-form derivative of the product
+(``group.row_series``, the coadjoint action of the algebra's sparse
+bracket kernel on rows).  So the Jacobian sends only its rows above
+layer 2 through the series, and on a step-2 group neither it nor the
+gradient does.  A row with no feasible
 optimized start falls back to the straight segment plus its ladder
 closure.  Stopping is a rule per row: the closure moves only the rows
 still off their targets, and given a radius a row stops as soon as it
@@ -524,6 +530,12 @@ class OptimizerBudget:
     gtol: float = 1e-12
     ftol: float = 1e-15
 
+    def __post_init__(self):
+        for name in ("segments", "starts", "max_iter"):
+            if getattr(self, name) < 1:
+                raise InputError(
+                    f"{name} must be positive, got {getattr(self, name)!r}")
+
     def replace(self, **kw):
         d = self.__dict__.copy()
         d.update(kw)
@@ -589,33 +601,70 @@ def path_endpoints_batch(group, controls):
     return _prefix_endpoints(group, controls)[:, -1]
 
 
-def _pullback(group, z, controls, covectors):
+def _pullback(group, z, controls, covectors, layered=0):
     """Covectors (B, r, n) at the endpoint pulled back to the controls.
 
-    ``z`` holds the prefix products of the (B, m, d) ``controls``.
-    Returns (B, r, m * d), row k of path b being covectors[b, k] dz_m/du
-    through dz_m/ds_j = psi(-ad z_m) exp(ad z_{j-1}) phi(-ad s_j), all j
-    at once.  The series act on 2-D stacks of rows, one row per (path,
-    covector, step).
+    ``z`` holds the prefix products of the (B, m, d) ``controls``; an
+    (r, n) stack of ``covectors`` serves every path.  Returns
+    (B, r, m * d), row k of path b being covectors[b, k] dz_m/du.
+
+    The first ``layered`` covectors, and on a group of at most two layers
+    every covector, have no content above layer 2.  Layers 1 and 2 of z_m
+    are the sum of the s_{j,1} and the telescoped sum of
+    s_{j,2} + 1/2 [z_{j-1,1}, s_{j,1}], so such a covector w = w_1 + w_2
+    pulls back at step j to w_1 + w_2 + w_2 1/2 [a_j, .] with
+    a_j = z_{j-1,1} + z_{j,1} - z_{m,1}: one matmul against the layer-2
+    structure constants (``BchTable.bracket_rows``).  The other
+    covectors go through dz_m/ds_j = psi(-ad z_m) exp(ad z_{j-1})
+    phi(-ad s_j), all j at once, on 2-D stacks of rows, one row per
+    (path, covector, step).
     """
     B, m, d = controls.shape
-    r, n = covectors.shape[1:]
-    table, kernel = group.table, group.algebra.kernel
+    r, n = covectors.shape[-2:]
+    algebra, table, kernel = group.algebra, group.table, group.algebra.kernel
+    d1, top = algebra.layer_dims[0], sum(algebra.layer_dims[:2])
+    if top == n:
+        layered = r
+    parts = []
+    if layered:
+        # such a covector is 0 above layer 2, so its first d coordinates
+        # are its part w_1 + w_2 at every step
+        ident = np.repeat(covectors[..., :layered, None, :d], m, axis=-2)
+        if top > d1:
+            z1 = z[..., :d1]
+            a = z1[:, :-1] + z1[:, 1:] - z1[:, -1:]
+            outer = a[:, None, :, :, None] * covectors[..., :layered, None,
+                                                       None, d1:top]
+            low = np.dot(outer.reshape(-1, d1 * (top - d1)),
+                         table.bracket_rows(d)).reshape(B, layered, m, d)
+            low += ident
+        else:
+            low = np.broadcast_to(ident, (B, layered, m, d))
+        parts.append(low.reshape(B, layered, m * d))
+    if layered < r:
+        high = covectors[..., layered:, :]
+        h = r - layered
+        if high.ndim == 2:
+            high = np.repeat(high[None], B, axis=0)
 
-    def per_row(factors):  # one (path, step) factor per (path, k, step) row
-        return np.repeat(factors.reshape(B, m, -1), r, axis=0).reshape(
-            B * r * m, -1)
+        def per_row(factors):  # a (path, step) factor per (path, k, step)
+            if h == 1:
+                return factors
+            return np.repeat(factors.reshape(B, m, -1), h, axis=0).reshape(
+                B * h * m, -1)
 
-    rows = row_series(kernel, covectors.reshape(-1, n),
-                      np.repeat(kernel.factor(-z[:, -1]), r, axis=0),
-                      table.psi)
-    rows = row_series(kernel, np.repeat(rows, m, axis=0),
-                      per_row(kernel.factor(z[:, :-1].reshape(-1, n))),
-                      table.exp)
-    rows = row_series(kernel, rows,
-                      per_row(kernel.factor(-controls.reshape(-1, d))),
-                      table.phi)
-    return rows[:, :d].reshape(B, r, m * d)
+        zm = kernel.factor(-z[:, -1])
+        rows = row_series(kernel, high.reshape(-1, n),
+                          zm if h == 1 else np.repeat(zm, h, axis=0),
+                          table.psi)
+        rows = row_series(kernel, np.repeat(rows, m, axis=0),
+                          per_row(kernel.factor(z[:, :-1].reshape(-1, n))),
+                          table.exp)
+        rows = row_series(kernel, rows,
+                          per_row(kernel.factor(-controls.reshape(-1, d))),
+                          table.phi)
+        parts.append(rows[:, :d].reshape(B, h, m * d))
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
 
 def _penalty_value_grad(group, gram, controls, targets, mu):
@@ -623,7 +672,9 @@ def _penalty_value_grad(group, gram, controls, targets, mu):
 
     ``gram`` is the metric on the controls, which drive the first
     ``gram.shape[0]`` coordinates of the steps s_j.  The misfit gradient
-    pulls cbar = 2 mu (z_m - target) back to the controls (``_pullback``).
+    pulls cbar = 2 mu (z_m - target) back to the controls (``_pullback``):
+    in closed form on a group of at most two layers, through the series
+    above.
     """
     z = _prefix_endpoints(group, controls)
     gu = controls @ gram
@@ -637,12 +688,13 @@ def _penalty_value_grad(group, gram, controls, targets, mu):
 def _endpoint_jacobian(group, controls):
     """Endpoints z_m (B, n) of a (B, m, d) control stack and J = dz_m/du.
 
-    J is (B, n, m * d): the pullback of each path's n unit covectors.
+    J is (B, n, m * d): the pullback of each path's n unit covectors,
+    the rows of layers 1 and 2 in closed form and only the rows above
+    them through the series (``_pullback``).
     """
-    B, n = controls.shape[0], group.dim
     z = _prefix_endpoints(group, controls)
-    eye = np.broadcast_to(np.eye(n), (B, n, n))
-    return z[:, -1], _pullback(group, z, controls, eye)
+    return z[:, -1], _pullback(group, z, controls, np.eye(group.dim),
+                               sum(group.algebra.layer_dims[:2]))
 
 
 def _solve(a, b):

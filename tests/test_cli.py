@@ -85,6 +85,23 @@ def test_non_finite_input_exit_1(tmp_path):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("args", [
+    ["distance", "--x", "X", "--y", "0,0,1", "--segments", "0"],
+    ["distance", "--x", "X", "--y", "0,0,1", "--segments", "-1"],
+    ["distance", "--x", "X", "--y", "0,0,1", "--starts", "0"],
+    ["distance", "--x", "X", "--y", "0,0,1", "--starts", "-2"],
+    ["derivate", "--v", "X", "--samples", "0"],
+    ["derivate", "--v", "X", "--levels", "0"],
+    ["derivate", "--v", "X", "--tmax", "-1"],
+    ["derivate", "--v", "X", "--tmax", "1e-6"],
+    ["spread", "--v", "X", "--samples", "0"],
+], ids=lambda args: " ".join(args[:1] + args[-2:]))
+def test_non_positive_counts_exit_1(args, tmp_path, capsys):
+    assert run(args + ["--group", "heisenberg", "--out", str(tmp_path)]) == 1
+    assert "error: InputError" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_reports_are_strict_json(tmp_path):
     # one sample, and no member: the band fraction is inf, written as null
     assert run(["ball-volume", "--group", "heisenberg", "--radius", "1",

@@ -9,7 +9,7 @@ import pytest
 
 from carnot import catalog, metric
 from carnot.errors import InputError, UnreachableError
-from carnot.group import CarnotGroup, dilate
+from carnot.group import CarnotGroup, dilate, row_series
 from carnot.metric import (
     BallBoxConstant,
     CCSpace,
@@ -21,6 +21,7 @@ from carnot.metric import (
     _optimize_controls,
     _penalty_value_grad,
     _prefix_endpoints,
+    _pullback,
     calibrate_ballbox,
     cc_lower_abelian,
     cc_lower_ballbox,
@@ -452,6 +453,74 @@ def test_endpoint_jacobian_matches_finite_differences(case, filiform, rng):
     fd = fd.reshape(jac.shape)
     np.testing.assert_allclose(jac, fd, rtol=1e-6,
                                atol=1e-6 * np.max(np.abs(fd)))
+
+
+def _series_pullback(group, controls, covectors):
+    """Every covector through psi(-ad z_m) exp(ad z_{j-1}) phi(-ad s_j).
+
+    One path and step at a time, from an explicit product fold; returns
+    (B, r, m * d) like ``_pullback``.
+    """
+    table, kernel = group.table, group.algebra.kernel
+    B, m, d = controls.shape
+    out = np.zeros((B, covectors.shape[1], m, d))
+    for b in range(B):
+        steps = np.zeros((m, group.dim))
+        steps[:, :d] = controls[b]
+        prefix = [np.zeros(group.dim)]
+        for s in steps:
+            prefix.append(group.bch(prefix[-1], s))
+        at_end = row_series(kernel, covectors[b],
+                            kernel.factor(-prefix[-1]), table.psi)
+        for j in range(m):
+            rows = row_series(kernel, at_end, kernel.factor(prefix[j]),
+                              table.exp)
+            rows = row_series(kernel, rows, kernel.factor(-steps[j]),
+                              table.phi)
+            out[b, :, j] = rows[:, :d]
+    return out.reshape(B, -1, m * d)
+
+
+@pytest.mark.parametrize("case", ["heisenberg", "engel", "abelian3",
+                                  "free2-3", "filiform",
+                                  "completion-heisenberg",
+                                  "completion-engel"])
+def test_pullback_layers_match_series(case, filiform, rng):
+    # the closed-form layers 1-2 against the series on every covector
+    name = case.removeprefix("completion-")
+    algebra = filiform if name == "filiform" else catalog.get(name)
+    group = CarnotGroup(algebra)
+    n, d1 = algebra.dim, algebra.layer_dims[0]
+    top = sum(algebra.layer_dims[:2])
+    d = n if case.startswith("completion") else d1
+    B, m = 3, 5
+    controls = 0.5 * rng.standard_normal((B, m, d))
+    z = _prefix_endpoints(group, controls)
+
+    def check(got, want):
+        np.testing.assert_allclose(got, want, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(want)))
+
+    # two covectors with content only in layers 1-2, then two in every layer
+    low = rng.standard_normal((B, 2, n))
+    low[..., top:] = 0.0
+    covectors = np.concatenate([low, rng.standard_normal((B, 2, n))], axis=1)
+    want = _series_pullback(group, controls, covectors)
+    # on a group of at most two layers every covector takes the closed form
+    check(_pullback(group, z, controls, covectors, 2), want)
+    check(_pullback(group, z, controls, covectors), want)
+    # the Jacobian's unit covectors
+    end, jac = _endpoint_jacobian(group, controls)
+    check(jac, _series_pullback(group, controls,
+                                np.broadcast_to(np.eye(n), (B, n, n))))
+    # the penalty gradient's single covector 2 mu (z_m - target)
+    gram = np.eye(d)
+    targets = rng.standard_normal((B, n))
+    mu = 10.0
+    _, grad = _penalty_value_grad(group, gram, controls, targets, mu)
+    pulled = _series_pullback(group, controls,
+                              2.0 * mu * (end - targets)[:, None])
+    check(grad, 2.0 * controls + pulled.reshape(controls.shape))
 
 
 def test_optimized_controls_meet_pontryagin_condition(heis):
