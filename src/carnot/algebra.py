@@ -252,14 +252,14 @@ def verify_graded(a: GradedAlgebra) -> GradingReport:
     return GradingReport(algebra=a.name, violations=violations)
 
 
-def _row_space(rows, tol=RANK_TOL):
+def _row_space(rows):
     """Orthonormal basis (as rows) of the span of ``rows``."""
     rows = np.atleast_2d(rows)
     if rows.size == 0:
         return np.zeros((0, rows.shape[-1]))
     u, s, vt = np.linalg.svd(rows, full_matrices=False)
     scale = s[0] if s.size and s[0] > 0 else 1.0
-    rank = int(np.sum(s > tol * max(scale, 1.0)))
+    rank = int(np.sum(s > RANK_TOL * max(scale, 1.0)))
     return vt[:rank]
 
 

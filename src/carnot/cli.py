@@ -50,7 +50,7 @@ def load_group(source) -> CCSpace:
     return CCSpace(catalog.get(source))
 
 
-def parse_grid(text, geometric=True):
+def parse_grid(text):
     """Parse "lo:hi:n" (geometric spacing) or a comma list of values."""
     text = str(text)
     if ":" in text:
@@ -61,13 +61,12 @@ def parse_grid(text, geometric=True):
             lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
         except ValueError as exc:
             raise InputError(f"malformed grid {text!r}") from exc
-        if lo <= 0 or hi <= 0 or n < 1:
-            raise InputError(f"grid endpoints must be positive: {text!r}")
+        if not (0 < lo < np.inf and 0 < hi < np.inf and n >= 1):
+            raise InputError(
+                f"grid endpoints must be positive and finite: {text!r}")
         if n == 1:
             return np.array([lo])
-        if geometric:
-            return lo * (hi / lo) ** (np.arange(n) / (n - 1))
-        return np.linspace(lo, hi, n)
+        return lo * (hi / lo) ** (np.arange(n) / (n - 1))
     try:
         vals = np.array([float(v) for v in text.split(",")])
     except ValueError as exc:
@@ -134,15 +133,15 @@ def _csv_dump(path, header, rows, footer_json=None):
 def _budget_from_args(args):
     kw = {name: getattr(args, name) for name in ("segments", "starts")
           if getattr(args, name, None) is not None}
-    return OptimizerBudget().replace(**kw) if kw else None
+    return OptimizerBudget(**kw) if kw else None
 
 
-def _ballbox(space, args, seed_shift=1000):
+def _ballbox(space, args):
     """The calibrated constant if ``--calibration-samples`` asks for one."""
     if args.calibration_samples is None:
         return None
     return calibrate_ballbox(space, samples=args.calibration_samples,
-                             seed=args.seed + seed_shift)
+                             seed=args.seed + 1000)
 
 
 def _bounds_doc(space, bb):
@@ -343,7 +342,7 @@ def cmd_divergence(args):
     return 0
 
 
-def standard_model_battery(t_grid=None):
+def standard_model_battery():
     """The fixed model-space comparison pairs used by ``obstruction``."""
     dg = divergence_lab
     eu2 = dg.ModelSpace("euclidean", dim=2)
@@ -368,7 +367,7 @@ def standard_model_battery(t_grid=None):
     ]
     fits = []
     for label, model, l1, l2 in runs:
-        fit = dg.model_divergence(model, l1, l2, t_grid=t_grid)
+        fit = dg.model_divergence(model, l1, l2)
         fit.label = label
         fits.append(fit)
     return fits

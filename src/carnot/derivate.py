@@ -115,56 +115,51 @@ def _canonical_deltas(space, xs, ys):
     return deltas * sign[:, None]
 
 
-def cc_distance(space: CCSpace, ballbox=None, budget=None, seed=0,
-                use="midpoint") -> LipschitzDistance:
-    """d_cc itself as a LipschitzDistance (L = 1).
+def cc_distance(space: CCSpace, ballbox=None, seed=0) -> LipschitzDistance:
+    """d_cc itself as a LipschitzDistance (L = 1), named "cc-midpoint".
 
-    ``use`` picks the reported value from the certified bracket:
-    "midpoint" (default), "upper", or "lower".
+    Reports the midpoint of the certified bracket: the combined lower
+    bound, and the smaller of the cheap ladder bound and the path
+    solver's bound with ``MEMBERSHIP_BUDGET``.
     """
-    if budget is None:
-        budget = MEMBERSHIP_BUDGET
-    if use not in ("midpoint", "upper", "lower"):
-        raise InputError(f"unknown cc_distance mode {use!r}")
 
     def evaluator(xs, ys):
         deltas = _canonical_deltas(space, xs, ys)
         lower, _ = lower_bounds_batch(space, deltas, ballbox)
-        if use == "lower":
-            return lower
-        upper, _ = cc_upper_batch(space, deltas, budget=budget, seed=seed)
+        upper, _ = cc_upper_batch(space, deltas, budget=MEMBERSHIP_BUDGET,
+                                  seed=seed)
         upper = np.minimum(upper, certified_upper_cheap(space, deltas))
-        if use == "upper":
-            return upper
         return 0.5 * (np.minimum(lower, upper) + upper)
 
-    return LipschitzDistance(name=f"cc-{use}", evaluator=evaluator, L=1.0,
+    return LipschitzDistance(name="cc-midpoint", evaluator=evaluator, L=1.0,
                              tol=1e-6)
 
 
-def riemannian_distance(space: CCSpace, budget=None) -> LipschitzDistance:
+def riemannian_distance(space: CCSpace) -> LipschitzDistance:
     """Distance of the left-invariant Riemannian completion (L = 1).
 
-    Approximate from above by optimized broken paths; 1-Lipschitz against
-    d_cc since horizontal paths keep their length in the completion.
+    Approximate from above by optimized broken paths, with the fixed
+    budget of ``riemannian_upper_batch`` (8 segments, 1 start, 120
+    iterations); 1-Lipschitz against d_cc since horizontal paths keep
+    their length in the completion.
     """
 
     def evaluator(xs, ys):
         deltas = _canonical_deltas(space, xs, ys)
-        return riemannian_upper_batch(space, deltas, budget=budget)
+        return riemannian_upper_batch(space, deltas)
 
     return LipschitzDistance(name="riemannian", evaluator=evaluator, L=1.0,
                              tol=1e-6)
 
 
-def snowflake_distance(space: CCSpace, ballbox=None, budget=None,
+def snowflake_distance(space: CCSpace, ballbox=None,
                        seed=0) -> LipschitzDistance:
     """Negative control: sqrt of d_cc with a (false) declared L = 1.
 
     A snowflaked metric is not Lipschitz against d_cc at small scales;
     validation and derivate sampling detect this and raise.
     """
-    base = cc_distance(space, ballbox=ballbox, budget=budget, seed=seed)
+    base = cc_distance(space, ballbox=ballbox, seed=seed)
 
     def evaluator(xs, ys):
         return np.sqrt(base.evaluator(xs, ys))
@@ -391,22 +386,21 @@ class SpreadReport:
 
 
 def spread_estimate(space: CCSpace, v, epsilon_grid, t_grid, samples=64,
-                    seed=0, budget=None) -> SpreadReport:
+                    seed=0) -> SpreadReport:
     """sup over z in End(y, tv, t eps) of d_cc(y h_t e^v, z h_t e^v) / t.
 
     By left invariance the base y drops out; the distance reduces to
     d_cc(e^0, (h_t e^v)^{-1} z' h_t e^v) with z' the end displacement, so
     each cell is a batch of certified upper bounds on conjugated points.
     The cells' ends are drawn in (epsilon, t) order from one generator
-    and bounded together in one ``cc_upper_batch`` call.
+    and bounded together in one ``cc_upper_batch`` call with
+    ``MEMBERSHIP_BUDGET``.
     """
     v = space.algebra.vector(v)
     if np.any(np.abs(v[space.d1:]) > 0):
         raise InputError("spread direction must lie in layer 1")
     if samples < 1:
         raise InputError(f"samples must be positive, got {samples!r}")
-    if budget is None:
-        budget = MEMBERSHIP_BUDGET
     rng = np.random.default_rng(seed)
     cells = [(eps, t) for eps in epsilon_grid for t in t_grid]
     if not cells:
@@ -419,7 +413,7 @@ def spread_estimate(space: CCSpace, v, epsilon_grid, t_grid, samples=64,
     ])
     legs = np.repeat([float(t) for _, t in cells], samples)[:, None] * v
     upper, _ = cc_upper_batch(space, space.group.conjugate(legs, ends),
-                              budget=budget, seed=seed + 1)
+                              budget=MEMBERSHIP_BUDGET, seed=seed + 1)
     sups = np.max(upper.reshape(len(cells), samples), axis=1)
     rows = [(float(eps), float(t), float(sup), float(sup) / float(t))
             for (eps, t), sup in zip(cells, sups)]

@@ -22,8 +22,8 @@ from .measure import certified_upper_cheap
 
 def default_t_grid(t_max=128.0):
     """Geometric grid of ratio sqrt(2) from 1 up to t_max."""
-    if t_max < 2:
-        raise InputError("divergence grid needs t_max >= 2")
+    if not 2 <= t_max < np.inf:
+        raise InputError("divergence grid needs a finite t_max >= 2")
     levels = int(np.floor(2 * np.log2(t_max))) + 1
     return np.sqrt(2.0) ** np.arange(levels)
 
@@ -97,13 +97,14 @@ def _fit_exponent(ts, mids):
     return float(slope)
 
 
-def _sandwich(rows, exponent, grid_step=0.01):
+def _sandwich(rows, exponent):
     """Largest alpha and smallest beta in (0,1) bracketing the exponent.
 
-    Constants follow the grid-relative min/max convention:
-    C1 = min f_lower / t^alpha, C2 = max f_upper / t^beta.
+    Both are multiples of 0.01.  Constants follow the grid-relative
+    min/max convention: C1 = min f_lower / t^alpha, C2 = max f_upper /
+    t^beta.
     """
-    candidates = np.round(np.arange(grid_step, 1.0, grid_step), 10)
+    candidates = np.round(np.arange(0.01, 1.0, 0.01), 10)
     alphas = candidates[candidates < exponent]
     betas = candidates[candidates > exponent]
     if len(alphas) == 0 or len(betas) == 0:
@@ -249,20 +250,18 @@ class ModelLine:
         self.direction = np.asarray(self.direction, dtype=float)
 
 
-def model_divergence(model: ModelSpace, line1: ModelLine, line2: ModelLine,
-                     t_grid=None, slope_threshold=0.01) -> DivergenceFit:
+def model_divergence(model: ModelSpace, line1: ModelLine,
+                     line2: ModelLine) -> DivergenceFit:
     """Exact divergence of two model-space geodesics, classified.
 
     Classification compares the tail slope of f(t)/t against the
-    threshold: above it the pair diverges linearly, otherwise it is
+    threshold 0.01: above it the pair diverges linearly, otherwise it is
     bounded, which is the full dichotomy in the flat and curved models
-    used here.  Closed forms are free to evaluate, so the default grid
-    runs to t = 1024, far enough that bounded pairs fall under the
-    threshold.
+    used here.  Closed forms are free to evaluate, so the grid is
+    ``default_t_grid(t_max=1024.0)``, far enough that bounded pairs fall
+    under the threshold.
     """
-    if t_grid is None:
-        t_grid = default_t_grid(t_max=1024.0)
-    t_grid = np.asarray(sorted(t_grid), dtype=float)
+    t_grid = default_t_grid(t_max=1024.0)
     p1 = model.geodesic(line1.basepoint, line1.direction, t_grid)
     p2 = model.geodesic(line2.basepoint, line2.direction, t_grid)
     f = model.distance(p1, p2)
@@ -270,7 +269,7 @@ def model_divergence(model: ModelSpace, line1: ModelLine, line2: ModelLine,
     # tail slope f(t)/t averaged over the last quarter of the grid
     k = max(2, len(t_grid) // 4)
     slope = float(np.mean(f[-k:] / t_grid[-k:]))
-    classification = "linear" if slope > slope_threshold else "bounded"
+    classification = "linear" if slope > 0.01 else "bounded"
     exponent = 1.0 if classification == "linear" else 0.0
     fit = DivergenceFit(rows=rows, exponent=exponent,
                         classification=classification, complete=True,

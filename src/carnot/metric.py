@@ -450,19 +450,19 @@ class LadderPlan:
         return controls, lengths
 
 
-def close_defect_batch(space: CCSpace, endpoints, targets, max_passes=60,
-                       tol=EXACT_TOL, collect=False):
+def close_defect_batch(space: CCSpace, endpoints, targets, collect=False):
     """Exactly close endpoint defects with commutator-ladder moves, per row.
 
     ``endpoints`` and ``targets`` are (B, n) coordinate arrays.  Returns
     (extra_length, final_endpoints, residual, segments) where segments is
     the ordered list of appended (B, d1) control displacements (only if
     ``collect``).  A row is moved only while its residual exceeds
-    ``tol`` (1 + |target|): a row that meets it leaves with its residual
-    and no added length, and its segments are zero from then on.  Moves
-    are folded through the exact group product, so the remaining
-    residual contracts superlinearly; for groups of step <= 3 a single
-    pass is already exact up to roundoff.
+    ``EXACT_TOL`` (1 + |target|), for at most 60 passes: a row that
+    meets it leaves with its residual and no added length, and its
+    segments are zero from then on.  Moves are folded through the exact
+    group product, so the remaining residual contracts superlinearly;
+    for groups of step <= 3 a single pass is already exact up to
+    roundoff.
     """
     group = space.group
     algebra = space.algebra
@@ -472,11 +472,11 @@ def close_defect_batch(space: CCSpace, endpoints, targets, max_passes=60,
     extra = np.zeros(B)
     segs = [] if collect else None
     plan = space.ladder()
-    off = tol * (1.0 + np.linalg.norm(targets, axis=-1))
+    off = EXACT_TOL * (1.0 + np.linalg.norm(targets, axis=-1))
     defect = group.bch(-endpoints, targets)
     residual = np.linalg.norm(defect, axis=-1)
     live = np.flatnonzero(residual > off)
-    for _ in range(max_passes):
+    for _ in range(60):
         if not len(live):
             break
         every = len(live) == B  # then no gather and no scatter
@@ -936,19 +936,18 @@ def _shortest_paths(space: CCSpace, targets, budget, seed, radius=None):
     adds nothing.
     """
     targets = np.atleast_2d(space.algebra.vector(targets))
-    if not np.all(np.isfinite(targets)):
-        raise InputError("targets must be finite")
     if radius is not None and not (np.isfinite(radius) and radius > 0):
         raise InputError(f"radius must be positive and finite, got {radius!r}")
-    B = targets.shape[0]
-    rng = np.random.default_rng(seed)
-    upper = np.zeros(B)
-    residual = np.zeros(B)
-
     # Normalize to unit homogeneous norm: a dilation maps witness paths to
     # witness paths and scales lengths exactly, so the bound is computed at
     # scale one and is exactly dilation covariant.
     scales = space.homogeneous_norm(targets)
+    if not np.all(np.isfinite(scales)):  # a non-finite or too large target
+        raise InputError("targets and their homogeneous norms must be finite")
+    B = targets.shape[0]
+    rng = np.random.default_rng(seed)
+    upper = np.zeros(B)
+    residual = np.zeros(B)
     live = scales > 0
     weights = np.ones_like(targets)
     weights[live] = (
@@ -1003,7 +1002,8 @@ def _straight_ladder(space: CCSpace, points, collect=False):
     """The straight segment to each point plus its ladder closure.
 
     Returns (upper, residual, path): the path's length, inf where the
-    closure is infeasible, the closure's residual and, if ``collect``,
+    closure is infeasible or its residual is not finite (a point too
+    large to square), the closure's residual and, if ``collect``,
     the path as (B, k, d1) unit-duration control displacements.
     """
     u1 = points[:, : space.d1]
@@ -1011,7 +1011,8 @@ def _straight_ladder(space: CCSpace, points, collect=False):
     extra, _, res, segs = close_defect_batch(space, start, points,
                                              collect=collect)
     upper = space.metric.norm(u1) + extra
-    upper[res > 1e-9 * (1 + np.linalg.norm(points, axis=-1))] = np.inf
+    missed = res > 1e-9 * (1 + np.linalg.norm(points, axis=-1))
+    upper[missed | ~np.isfinite(res)] = np.inf
     return upper, res, np.stack([u1] + segs, axis=1) if collect else None
 
 
@@ -1100,17 +1101,17 @@ def cc_upper(space: CCSpace, x, y, budget=None, seed=0):
     )
 
 
-def riemannian_upper_batch(space: CCSpace, targets, budget=None):
+def riemannian_upper_batch(space: CCSpace, targets):
     """Upper bounds on the Riemannian completion's distance from identity.
 
     The completion's metric is the horizontal Gram matrix on layer 1 and
     the identity above it.  Its paths are optimized like horizontal ones,
-    with controls in every coordinate; the final defect is closed by a
-    single straight segment, so the bound is the exact length of a
-    feasible broken path.
+    with controls in every coordinate, from the straight start with the
+    budget ``OptimizerBudget(segments=8, starts=1, max_iter=120)``; the
+    final defect is closed by a single straight segment, so the bound is
+    the exact length of a feasible broken path.
     """
-    if budget is None:
-        budget = OptimizerBudget(segments=8, starts=1, max_iter=120)
+    budget = OptimizerBudget(segments=8, starts=1, max_iter=120)
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     gram = np.eye(space.algebra.dim)
     gram[: space.d1, : space.d1] = space.metric.gram
@@ -1189,19 +1190,19 @@ def estimate_distance(space: CCSpace, x, y, budget=None, ballbox=None, seed=0):
     )
 
 
-def calibrate_ballbox(space: CCSpace, samples=1000, seed=0, budget=None,
-                      safety=1.05):
+def calibrate_ballbox(space: CCSpace, samples=1000, seed=0):
     """Estimate the ball-box constant A on unit-scale random directions.
 
     A is the maximum of (sum_i |v_i|^{1/i}) / upper(d_cc(e^0, e^v)) over
-    the samples, inflated by ``safety`` as holdout headroom; dilation
-    invariance of the ratio means unit-scale sampling suffices.
+    the samples, upper bounds taken with ``OptimizerBudget(segments=12,
+    starts=2)``, inflated by a safety factor of 1.05 as holdout
+    headroom; dilation invariance of the ratio means unit-scale sampling
+    suffices.
     """
     samples = int(samples)
     if samples < 100:
         raise InputError("ball-box calibration needs at least 100 samples")
-    if budget is None:
-        budget = OptimizerBudget(segments=12, starts=2)
+    safety = 1.05
     rng = np.random.default_rng(seed)
     n = space.algebra.dim
     raw = rng.standard_normal((samples, n))
@@ -1211,8 +1212,9 @@ def calibrate_ballbox(space: CCSpace, samples=1000, seed=0, budget=None,
     weights = (1.0 / hnorm)[:, None] ** space.algebra.layer_of.astype(float)[None, :]
     vs = raw * weights
     try:
-        upper, _ = cc_upper_batch(space, vs, budget=budget,
-                                  seed=int(rng.integers(2**32)))
+        upper, _ = cc_upper_batch(
+            space, vs, budget=OptimizerBudget(segments=12, starts=2),
+            seed=int(rng.integers(2**32)))
     except OptimizerFailure as exc:
         raise CalibrationError(
             "upper-bound optimization failed during calibration",

@@ -25,7 +25,8 @@ def test_parse_grid_geometric():
 
 
 def test_parse_grid_errors():
-    for bad in ("1:2", "a:b:c", "-1:2:3", "x,y", "1,nan", "inf,2", "0.5,-inf"):
+    for bad in ("1:2", "a:b:c", "-1:2:3", "x,y", "1,nan", "inf,2", "0.5,-inf",
+                "1:inf:3", "nan:1:3", "1:nan:3"):
         with pytest.raises(InputError):
             parse_grid(bad)
 
@@ -82,6 +83,11 @@ def test_non_finite_input_exit_1(tmp_path):
                    + common) == 1
     assert run(["distance", "--x=nan,0,0", "--y", "X"] + common) == 1
     assert run(["distance", "--x", "X", "--y", "0,0,inf"] + common) == 1
+    assert run(["distance", "--x", "0,0,1e300", "--y", "0,0,0"] + common) == 1
+    for cmd in ("divergence", "obstruction"):
+        for tmax in ("nan", "inf"):
+            assert run([cmd, "--v", "X", "--w", "Y", f"--tmax={tmax}"]
+                       + common) == 1
     assert not list(tmp_path.iterdir())
 
 

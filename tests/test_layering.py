@@ -1,5 +1,6 @@
-"""Source rules: no carnot module uses another's private names, and no
-``np.einsum`` call takes three or more operands."""
+"""Source rules: no carnot module uses another's private names, no
+``np.einsum`` call takes three or more operands, and every parameter
+with a default is set by some caller."""
 
 import ast
 from pathlib import Path
@@ -67,4 +68,93 @@ def _wide_einsums(path):
 def test_no_three_operand_einsum():
     offenders = [hit for path in sorted(PACKAGE.glob("*.py"))
                  for hit in _wide_einsums(path)]
+    assert offenders == []
+
+
+ROOT = Path(__file__).resolve().parent.parent
+CALLER_DIRS = ("src", "tests", "demos", "perfbench")
+
+
+def _scan(path):
+    """Defaulted parameters and call arguments of one file.
+
+    A defaulted parameter is (callee, name, position, where); a method's
+    position counts from the argument after self or cls, and a class's
+    ``__init__`` is listed under the class name.  A call argument is
+    (callee, key, source): key is a keyword, a position, ``"**"`` or
+    ``("*", position)``; source is (function, parameter) when the value
+    is a bare name of an enclosing function's parameter, else None.
+    """
+    tree = ast.parse(path.read_text(), filename=str(path))
+    defaults, arguments = [], []
+
+    def visit(node, cls, scopes):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name, scopes)
+                continue
+            inner, inner_cls = scopes, cls
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = cls if cls and child.name == "__init__" else child.name
+                a = child.args
+                positional = a.posonlyargs + a.args
+                static = any(getattr(d, "id", None) == "staticmethod"
+                             for d in child.decorator_list)
+                skip = 1 if cls and not static else 0
+                where = f"{path.name}:{child.lineno} {name}"
+                first = len(positional) - len(a.defaults)
+                for i, arg in enumerate(positional[first:], first):
+                    defaults.append((name, arg.arg, i - skip, where))
+                for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+                    if default is not None:
+                        defaults.append((name, arg.arg, None, where))
+                params = {arg.arg for arg in positional + a.kwonlyargs}
+                inner, inner_cls = [(name, params)] + scopes, None
+            elif isinstance(child, ast.Call):
+                func = child.func
+                callee = getattr(func, "id", getattr(func, "attr", None))
+                keyed = [(("*", i) if isinstance(v, ast.Starred) else i, v)
+                         for i, v in enumerate(child.args)]
+                keyed += [(kw.arg or "**", kw.value) for kw in child.keywords]
+                for key, value in keyed:
+                    source = next(
+                        ((fn, value.id) for fn, params in scopes
+                         if isinstance(value, ast.Name)
+                         and value.id in params), None)
+                    arguments.append((callee, key, source))
+            visit(child, inner_cls, inner)
+
+    visit(tree, None, [])
+    return defaults, arguments
+
+
+def _sets(key, param, index):
+    if isinstance(key, tuple):
+        return index is not None and index >= key[1]
+    return key in (param, "**") or (index is not None and key == index)
+
+
+def test_every_option_has_a_caller():
+    """A parameter with a default is set by some call in the project.
+
+    A default that no call overrides is a constant under another name.
+    A call that forwards an enclosing function's defaulted parameter
+    sets the callee's only when that parameter is set itself.
+    """
+    defaults = [d for path in sorted(PACKAGE.glob("*.py"))
+                for d in _scan(path)[0]]
+    arguments = [a for d in CALLER_DIRS
+                 for path in sorted((ROOT / d).rglob("*.py"))
+                 for a in _scan(path)[1]]
+    tracked = {(name, param) for name, param, _, _ in defaults}
+    live, grew = set(), True
+    while grew:
+        known = {(callee, key) for callee, key, source in arguments
+                 if source not in tracked or source in live}
+        grown = {(name, param) for name, param, index, _ in defaults
+                 if any(callee == name and _sets(key, param, index)
+                        for callee, key in known)}
+        live, grew = grown, grown != live
+    offenders = [f"{where}: {param}" for name, param, _, where in defaults
+                 if (name, param) not in live]
     assert offenders == []

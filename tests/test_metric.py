@@ -652,3 +652,11 @@ def test_non_finite_input_rejected(heis):
     for radius in (0.0, -1.0, np.nan, np.inf):
         with pytest.raises(InputError):
             cc_upper_batch(heis, np.array([[1.0, 0, 0]]), radius=radius)
+
+
+def test_targets_too_large_to_square_get_no_bound(heis):
+    # each target's homogeneous norm overflows to inf
+    for far in ([0, 0, 1e200], [1e200, 0, 0]):
+        with pytest.raises(InputError):
+            cc_upper_batch(heis, np.array([far]))
+        assert certified_upper_cheap(heis, far)[0] == np.inf
