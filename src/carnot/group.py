@@ -86,18 +86,19 @@ class BchTable:
         self._bracket_rows = {}
 
     def bracket_rows(self, d):
-        """The (d1 d2, d) matrix K[(i, l), k] = c[i, k, l] / 2, cached per d.
+        """The (d2, d1 d) matrix K[l, (i, k)] = c[i, k, l] / 2, cached per d.
 
         i runs over layer 1, l over layer 2 and k over the first d
         coordinates, so a layer-2 covector w pulls the map
-        u -> [a, u] / 2 back to the row (a ⊗ w) K for a layer-1 vector a.
+        u -> [a, u] / 2 back to the row a (w K) for a layer-1 vector a,
+        w K read as a (d1, d) matrix.
         """
         if d not in self._bracket_rows:
             a = self.algebra
             d1 = a.layer_dims[0]
             block = a.structure[:d1, :d, d1:sum(a.layer_dims[:2])]
             self._bracket_rows[d] = 0.5 * np.ascontiguousarray(
-                block.transpose(0, 2, 1)).reshape(-1, d)
+                block.transpose(2, 0, 1)).reshape(-1, d1 * d)
         return self._bracket_rows[d]
 
     def _check(self, x, y):

@@ -2,32 +2,24 @@
 
 Upper bounds come from optimized horizontal paths with piecewise-constant
 left-invariant controls; a piecewise-constant path integrates exactly
-through the group product, so the only approximation in the story is the
-optimizer's endpoint defect, which is closed exactly by an explicit
-commutator-ladder path whose length is added to the bound.  The
-optimizer minimizes path energy subject to reaching the target: a short
-L-BFGS-B warm stage on energy plus a penalty on the endpoint misfit,
-Gauss-Newton projection onto the endpoint constraint, then feasible SQP
-per row, whose stationary rows are the discrete normal extremals.  The
-misfit's gradient and the endpoint's Jacobian are pulled back layer by
-layer, without per-step Jacobian or ad matrices: layers 1 and 2 of the
-endpoint are a sum and a telescoped bracket sum, so a covector with no
-content above layer 2 pulls back in closed form, by one matmul against
-the layer-2 structure constants; only a covector with content above
-layer 2 goes through the closed-form derivative of the product
-(``group.row_series``, the coadjoint action of the algebra's sparse
-bracket kernel on rows).  So the Jacobian sends only its rows above
-layer 2 through the series, and on a step-2 group neither it nor the
-gradient does.  A row with no feasible
-optimized start falls back to the straight segment plus its ladder
-closure.  Stopping is a rule per row: the closure moves only the rows
-still off their targets, and given a radius a row stops as soon as it
-has a projected path no longer than it, which is all that ball
-membership asks.  The path's prefix products are formed layer by layer:
-layers 1 and 2 telescope into prefix sums on every group (layer 2 through
-the kernel of the layer-1 x layer-1 -> layer-2 brackets), and higher
-layers come from one product call per block of steps (a block of one
-step forms every layer).
+through the group product, so the only approximation is the optimizer's
+endpoint defect, which an explicit commutator-ladder path closes exactly,
+its length added to the bound.  The optimizer minimizes path energy
+subject to reaching the target: on groups of step >= 3 a short L-BFGS-B
+warm stage on energy plus a penalty on the endpoint misfit, then on every
+group Gauss-Newton projection onto the endpoint constraint and feasible
+SQP per row, whose stationary rows are the discrete normal extremals.
+The misfit's gradient and the endpoint's Jacobian are pulled back layer
+by layer: a covector with no content above layer 2 pulls back in closed
+form, against the layer-2 structure constants, and only the others go
+through the closed-form derivative of the product (``group.row_series``),
+so on a step-2 group none does.  A row with no feasible optimized start
+falls back to the straight segment plus its ladder closure.  Stopping is
+a rule per row: the closure moves only the rows still off their targets,
+and given a radius a row stops as soon as it has a projected path no
+longer than it, which is all that ball membership asks.  The path's
+prefix products are formed layer by layer: layers 1 and 2 telescope into
+prefix sums, higher layers come from one product call per block of steps.
 
 Lower bounds come from the 1-Lipschitz abelianization quotient (exact)
 and from certified per-layer constants K_k with |layer_k| <= K_k d_cc^k
@@ -60,10 +52,10 @@ CHUNK = 32768
 # B = 300 and 2.42x at B = 1000; the endpoint Jacobian 0.98x, 1.01x,
 # 0.92x, 1.02x and 1.16x.
 BLOCK_ROWS = 512
-# The path optimizer: iterations of the warm penalty stage, its projection
-# onto the endpoint constraint (tolerance relative to 1 + |target|, and
-# Gauss-Newton steps allowed), and the SQP's stopping and line-search
-# constants (``_sqp``).
+# The path optimizer: iterations of the warm penalty stage (groups of step
+# >= 3 only), the projection onto the endpoint constraint (tolerance
+# relative to 1 + |target|, and Gauss-Newton steps allowed), and the SQP's
+# stopping and line-search constants (``_sqp``).
 WARM_ITER = 30
 PROJECT_TOL = 1e-13
 PROJECT_STEPS = 20
@@ -105,6 +97,18 @@ class HorizontalMetric:
         return np.einsum("...i,...i->...", u @ self.gram, v)
 
 
+def _unsquared(norm, v):
+    """norm(v) per row; a finite row whose squares overflow is scaled by
+    its largest coordinate first, and the others keep their bits."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.asarray(norm(v))
+    big = np.isinf(out) & np.all(np.isfinite(v), axis=-1)
+    if np.any(big):
+        scale = np.max(np.abs(v[big]), axis=-1, keepdims=True)
+        out[big] = scale[:, 0] * norm(v[big] / scale)
+    return out
+
+
 class CCSpace:
     """A Carnot group together with a horizontal metric."""
 
@@ -143,11 +147,11 @@ class CCSpace:
 
     def layer_norms(self, x):
         """Per-layer norms (metric norm on layer 1, Euclidean above)."""
-        x = self.algebra.vector(x)
-        out = [self.metric.norm(x[..., : self.d1])]
-        for i in range(2, self.algebra.num_layers + 1):
-            out.append(np.linalg.norm(x[..., self.algebra.layer_slice(i)], axis=-1))
-        return np.stack(out, axis=-1)
+        x, a = self.algebra.vector(x), self.algebra
+        euclid = lambda v: np.linalg.norm(v, axis=-1)
+        return np.stack([_unsquared(euclid if i > 1 else self.metric.norm,
+                                    x[..., a.layer_slice(i)])
+                         for i in range(1, a.num_layers + 1)], axis=-1)
 
     def homogeneous_norm(self, x):
         """sum_i |x_i|^(1/i), the layer-weighted coordinate norm."""
@@ -633,10 +637,10 @@ def _pullback(group, z, controls, covectors, layered=0):
         if top > d1:
             z1 = z[..., :d1]
             a = z1[:, :-1] + z1[:, 1:] - z1[:, -1:]
-            outer = a[:, None, :, :, None] * covectors[..., :layered, None,
-                                                       None, d1:top]
-            low = np.dot(outer.reshape(-1, d1 * (top - d1)),
-                         table.bracket_rows(d)).reshape(B, layered, m, d)
+            # w_2 against the structure constants first, then a_j
+            # against the resulting (d1, d) matrix per covector
+            wk = covectors[..., :layered, d1:top] @ table.bracket_rows(d)
+            low = a[:, None] @ wk.reshape(wk.shape[:-1] + (d1, d))
             low += ident
         else:
             low = np.broadcast_to(ident, (B, layered, m, d))
@@ -845,56 +849,49 @@ def _sqp(group, gram, targets, tol, controls, c, J, max_iter, radius=None):
 def _optimize_controls(group, gram, targets, controls0, budget, radius=None):
     """Minimum-energy controls reaching the targets, per row.
 
-    targets: (B, n); controls0: (B, m, d) with d = gram.shape[0].  A warm
-    L-BFGS-B stage minimizes energy + penalty_init * |z_m - target|^2
-    over the flattened batch (at most ``WARM_ITER`` iterations), each
-    row is projected onto z_m(u) = target by Gauss-Newton steps, and the
-    projected rows descend by feasible SQP (``_sqp``).  A row whose
-    projection fails keeps its warm point, with its defect; the callers
-    close the defect.  Returns the (B, m, d) controls.
+    targets: (B, n); controls0: (B, m, d) with d = gram.shape[0].  On a
+    group of step >= 3 a warm L-BFGS-B stage minimizes energy +
+    penalty_init * |z_m - target|^2 over the flattened batch (at most
+    ``WARM_ITER`` iterations); elsewhere the warm point is ``controls0``.
+    Each row is projected once from its warm point onto z_m(u) = target
+    by Gauss-Newton steps, and the projected rows descend by feasible SQP
+    (``_sqp``).  A row whose projection fails keeps its warm point, with
+    its defect; the callers close the defect.  Returns the (B, m, d)
+    controls.
 
     ``radius`` is None or (r, scale), a scale per row.  Given one, a row
     stops with the first projected path whose length times its scale is
-    at most r (``_short``): its start projected as it is, which spares
-    it the warm stage, then the warm stage's projection, then each SQP
-    iterate.  The other rows enter the warm stage from ``controls0``.
+    at most r (``_short``): its projected warm point, then each SQP
+    iterate.
     """
+    B, m, d = controls0.shape
     tol = PROJECT_TOL * (1.0 + np.linalg.norm(targets, axis=-1))
-    controls = controls0.copy()
-    live = np.arange(len(targets))
-    if radius is not None:
-        proj, _, _, ok = _project(group, controls0, targets, tol,
-                                  PROJECT_STEPS)
-        short = _short(gram, radius, proj, ok, live)
-        controls[short] = proj[short]
-        live = live[~short]
-        if not len(live):
-            return controls
-    start, tg = controls0[live], targets[live]
-    B, m, d = start.shape
-    mu = budget.penalty_init
+    warm = controls0
+    # On step-2 groups (Heisenberg, free2-d, abelian: 3,000 rows at three
+    # budgets; 200 rows of the Heisenberg completion) the warm stage moved
+    # no bound by more than 1e-12 relative and took about 30% of a
+    # Heisenberg solve.  Without it the worst of 48 Engel bounds at the
+    # (12, 2, max_iter 30) budget went from 2.0% to 21.5% above the
+    # best-known ones.
+    if group.algebra.num_layers > 2:
+        def fun(flat):
+            v, g = _penalty_value_grad(group, gram, flat.reshape(B, m, d),
+                                       targets, budget.penalty_init)
+            return v, g.ravel()
 
-    def fun(flat):
-        v, g = _penalty_value_grad(group, gram, flat.reshape(B, m, d), tg, mu)
-        return v, g.ravel()
-
-    warm = minimize(
-        fun,
-        start.ravel(),
-        jac=True,
-        method="L-BFGS-B",
-        options={"maxiter": min(budget.max_iter, WARM_ITER),
-                 "ftol": budget.ftol, "gtol": budget.gtol},
-    ).x.reshape(B, m, d)  # the result's curvature pairs are not kept
-    proj, c, J, ok = _project(group, warm, tg, tol[live], PROJECT_STEPS)
-    proj[~ok] = warm[~ok]
-    controls[live] = proj
-    ok &= ~_short(gram, radius, proj, ok, live)
-    live, c, J = live[ok], c[ok], J[ok]
+        # the result's curvature pairs are not kept
+        warm = minimize(fun, controls0.ravel(), jac=True, method="L-BFGS-B",
+                        options={"maxiter": min(budget.max_iter, WARM_ITER),
+                                 "ftol": budget.ftol, "gtol": budget.gtol},
+                        ).x.reshape(B, m, d)
+    controls, c, J, ok = _project(group, warm, targets, tol, PROJECT_STEPS)
+    controls[~ok] = warm[~ok]
+    live = np.flatnonzero(ok & ~_short(gram, radius, controls, ok,
+                                       np.arange(B)))
     if len(live):
         controls[live] = _sqp(
-            group, gram, targets[live], tol[live], controls[live], c, J,
-            budget.max_iter,
+            group, gram, targets[live], tol[live], controls[live], c[live],
+            J[live], budget.max_iter,
             None if radius is None else (radius[0], radius[1][live]))
     return controls
 
@@ -1037,9 +1034,8 @@ def cc_upper_batch(space: CCSpace, targets, budget=None, seed=0,
     soon as it has a path no longer than the radius, and the row keeps
     its shortest start: a decided row's bound is at most the radius and
     is certified, but it is not the minimum the full optimization would
-    reach.  A start that never gets that short runs the whole solver, so
-    it converges as without a radius, though in a smaller warm-stage
-    batch.
+    reach.  A start that never gets that short runs the whole solver and
+    ends where it ends without a radius.
     """
     if budget is None:
         budget = OptimizerBudget()

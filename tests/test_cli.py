@@ -83,12 +83,20 @@ def test_non_finite_input_exit_1(tmp_path):
                    + common) == 1
     assert run(["distance", "--x=nan,0,0", "--y", "X"] + common) == 1
     assert run(["distance", "--x", "X", "--y", "0,0,inf"] + common) == 1
-    assert run(["distance", "--x", "0,0,1e300", "--y", "0,0,0"] + common) == 1
     for cmd in ("divergence", "obstruction"):
         for tmax in ("nan", "inf"):
             assert run([cmd, "--v", "X", "--w", "Y", f"--tmax={tmax}"]
                        + common) == 1
     assert not list(tmp_path.iterdir())
+
+
+def test_target_too_large_to_square_gets_its_bracket(tmp_path):
+    # d_cc(0, 0, 1e300) = sqrt(4 pi) 1e150, though 1e300 squared overflows
+    assert run(["distance", "--group", "heisenberg", "--x", "0,0,1e300",
+                "--y", "0,0,0", "--out", str(tmp_path)]) == 0
+    est = json.loads((tmp_path / "distance.json").read_text())["estimate"]
+    exact = np.sqrt(4 * np.pi) * 1e150
+    assert est["lower"] <= exact <= est["upper"] <= 1.01 * exact
 
 
 @pytest.mark.parametrize("args", [

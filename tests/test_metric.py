@@ -396,22 +396,26 @@ def test_prefix_endpoints_match_bch_fold(case, full, filiform, rng):
 
 
 def _gradient_case(case, filiform):
-    """Group and control metric of the four gradient and Jacobian cases.
+    """Group and control metric of the five gradient and Jacobian cases.
 
-    heisenberg needs only the telescoped layers 1-2, engel blocks its
-    layer-3 product calls, the completion has full-coordinate controls
-    and the degree-6 filiform takes one product call per step.
+    heisenberg needs only the telescoped layers 1-2, free2-3 has a
+    3-dimensional layer 2, engel blocks its layer-3 product calls, the
+    completion has full-coordinate controls and the degree-6 filiform
+    takes one product call per step.
     """
     algebra = {"heisenberg": catalog.heisenberg(), "engel": catalog.engel(),
+               "free2-3": catalog.get("free2-3"),
                "completion": catalog.heisenberg(), "filiform": filiform}[case]
     gram = np.array([[2.0, 0.3], [0.3, 1.0]])
+    if case == "free2-3":
+        gram = np.array([[2.0, 0.3, 0.0], [0.3, 1.0, -0.2], [0.0, -0.2, 1.5]])
     if case == "completion":
         gram = np.eye(algebra.dim)
         gram[:2, :2] = [[2.0, 0.3], [0.3, 1.0]]
     return CarnotGroup(algebra), gram
 
 
-GRADIENT_CASES = ["heisenberg", "engel", "completion", "filiform"]
+GRADIENT_CASES = ["heisenberg", "free2-3", "engel", "completion", "filiform"]
 
 
 @pytest.mark.parametrize("case", GRADIENT_CASES)
@@ -616,8 +620,23 @@ def test_decided_rows_are_certified(heis):
     # the same members, and some of them stopped short of the minimum
     assert np.array_equal(decided, full <= 1.0)
     assert np.any(upper[decided] > full[decided] * (1 + 1e-6))
-    # the undecided rows ran to convergence
-    assert np.all(upper[~decided] == pytest.approx(full[~decided], rel=1e-6))
+    # the undecided rows ran the solver as without a radius
+    assert np.array_equal(upper[~decided], full[~decided])
+
+
+def test_undecided_engel_rows_ignore_the_radius(engel_space):
+    rng = np.random.default_rng(32)
+    targets = rng.standard_normal((8, 4))
+    targets /= (engel_space.homogeneous_norm(targets)[:, None]
+                ** engel_space.algebra.layer_of)
+    targets *= rng.uniform(0.5, 1.5, (8, 1)) ** engel_space.algebra.layer_of
+    full, _ = cc_upper_batch(engel_space, targets, budget=FAST, seed=33)
+    upper, _ = cc_upper_batch(engel_space, targets, budget=FAST, seed=33,
+                              radius=1.0)
+    decided = upper <= 1.0
+    assert np.any(decided) and not np.all(decided)
+    assert np.array_equal(decided, full <= 1.0)
+    assert np.array_equal(upper[~decided], full[~decided])
 
 
 def test_unmet_radius_changes_nothing(heis, engel_space):
@@ -631,18 +650,31 @@ def test_unmet_radius_changes_nothing(heis, engel_space):
         assert np.array_equal(unmet[1], full[1])
 
 
-def test_radius_decides_before_the_warm_stage(heis, monkeypatch, rng):
-    # straight starts reach horizontal targets: every target is decided
-    # by its first projection, with no L-BFGS-B call
+def test_warm_stage_runs_only_above_step_two(heis, engel_space, monkeypatch,
+                                            rng):
+    # step-2 groups project their starts directly; Engel runs L-BFGS-B
+    lbfgs = metric.minimize
+
     def refuse(*args, **kwargs):
-        raise AssertionError("warm stage ran on decided rows")
+        raise AssertionError("warm stage ran on a step-2 group")
 
     monkeypatch.setattr(metric, "minimize", refuse)
-    pts = heis.embed_horizontal(rng.standard_normal((10, 2)))
-    upper, residual = cc_upper_batch(heis, pts, budget=FAST, seed=31,
-                                     radius=10.0)
-    assert upper == pytest.approx(np.linalg.norm(pts, axis=-1), rel=1e-12)
-    assert np.all(residual <= 1e-12)
+    for space in (heis, CCSpace(catalog.get("free2-3"))):
+        targets = rng.standard_normal((10, space.algebra.dim))
+        for radius in (None, 1.0):
+            upper, residual = cc_upper_batch(space, targets, budget=FAST,
+                                             seed=31, radius=radius)
+            assert np.all(np.isfinite(upper)) and np.all(residual <= 1e-9)
+    calls = []
+
+    def count(*args, **kwargs):
+        calls.append(1)
+        return lbfgs(*args, **kwargs)
+
+    monkeypatch.setattr(metric, "minimize", count)
+    cc_upper_batch(engel_space, rng.standard_normal((4, 4)), budget=FAST,
+                   seed=31)
+    assert calls
 
 
 def test_non_finite_input_rejected(heis):
@@ -654,9 +686,13 @@ def test_non_finite_input_rejected(heis):
             cc_upper_batch(heis, np.array([[1.0, 0, 0]]), radius=radius)
 
 
-def test_targets_too_large_to_square_get_no_bound(heis):
-    # each target's homogeneous norm overflows to inf
+def test_targets_too_large_to_square_get_their_bound(heis):
+    # the layer norms scale such rows before squaring, so the optimizer
+    # bounds them at unit scale; the straight-segment closure overflows
+    # in the product and gives no bound
+    upper, _ = cc_upper_batch(heis, np.array([[0, 0, 1e200], [1e200, 0, 0]]))
+    assert np.sqrt(4 * np.pi * 1e200) <= upper[0] <= 1.01 * np.sqrt(
+        4 * np.pi * 1e200)
+    assert upper[1] == pytest.approx(1e200, rel=1e-12)
     for far in ([0, 0, 1e200], [1e200, 0, 0]):
-        with pytest.raises(InputError):
-            cc_upper_batch(heis, np.array([far]))
         assert certified_upper_cheap(heis, far)[0] == np.inf
