@@ -131,6 +131,10 @@ def divergence_profile(space: CCSpace, pair: GeodesicPair, budget=None,
     """
     if budget is None:
         budget = OptimizerBudget(segments=12, starts=2)
+    # h_t scales layer k by t^k, so t^step must be finite on the grid
+    step = space.algebra.num_layers
+    if np.max(np.abs(pair.t_grid)) > np.finfo(float).max ** (1.0 / step):
+        raise InputError(f"divergence times need a finite |t|^{step}")
     disp = np.stack([displacement(space, pair, t) for t in pair.t_grid])
     lower, _ = lower_bounds_batch(space, disp, ballbox)
     try:

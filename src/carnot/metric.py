@@ -26,7 +26,11 @@ and from certified per-layer constants K_k with |layer_k| <= K_k d_cc^k
 (``LayerBounds``): Dido's inequality on the step-2 quotient for layer 2,
 the factorial decay of a path's signature for layers >= 3.  An
 empirically calibrated ball-box constant can be passed on top; it is
-labelled "calibrated" wherever it is reported.
+labelled "calibrated" wherever it is reported.  The calibration is a
+branch and bound over its samples: a sample's ratio is at most its
+ceiling against the certified lower bound, and only the samples whose
+ceiling exceeds the best ratio so far are optimized, each from the start
+the whole batch draws for it.
 """
 
 from __future__ import annotations
@@ -63,6 +67,12 @@ TRIAL_STEPS = 4
 HALVINGS = 8
 ARMIJO = 1e-4
 DECREASE_TOL = 1e-14
+# A calibration sample is left unbounded only once its ceiling is below the
+# best ratio by more than this, relative.  Ratio and ceiling share their
+# numerator, and a computed upper bound may read below an exact lower bound
+# (|z_1| on the abelian group, where every ceiling is 1) by roundoff or by
+# the residual a path is accepted at, 1e-9 (1 + |target|) at unit scale.
+CEILING_SLACK = 1e-8
 
 
 class HorizontalMetric:
@@ -97,12 +107,18 @@ class HorizontalMetric:
         return np.einsum("...i,...i->...", u @ self.gram, v)
 
 
+def _euclid(v):
+    return np.linalg.norm(v, axis=-1)
+
+
 def _unsquared(norm, v):
     """norm(v) per row; a finite row whose squares overflow is scaled by
     its largest coordinate first, and the others keep their bits."""
     with np.errstate(over="ignore", invalid="ignore"):
         out = np.asarray(norm(v))
-    big = np.isinf(out) & np.all(np.isfinite(v), axis=-1)
+    big = np.isinf(out)
+    if np.any(big):  # the finite rows among them, looked for only then
+        big = big & np.all(np.isfinite(v), axis=-1)
     if np.any(big):
         scale = np.max(np.abs(v[big]), axis=-1, keepdims=True)
         out[big] = scale[:, 0] * norm(v[big] / scale)
@@ -148,8 +164,7 @@ class CCSpace:
     def layer_norms(self, x):
         """Per-layer norms (metric norm on layer 1, Euclidean above)."""
         x, a = self.algebra.vector(x), self.algebra
-        euclid = lambda v: np.linalg.norm(v, axis=-1)
-        return np.stack([_unsquared(euclid if i > 1 else self.metric.norm,
+        return np.stack([_unsquared(_euclid if i > 1 else self.metric.norm,
                                     x[..., a.layer_slice(i)])
                          for i in range(1, a.num_layers + 1)], axis=-1)
 
@@ -476,9 +491,9 @@ def close_defect_batch(space: CCSpace, endpoints, targets, collect=False):
     extra = np.zeros(B)
     segs = [] if collect else None
     plan = space.ladder()
-    off = EXACT_TOL * (1.0 + np.linalg.norm(targets, axis=-1))
+    off = EXACT_TOL * (1.0 + _unsquared(_euclid, targets))
     defect = group.bch(-endpoints, targets)
-    residual = np.linalg.norm(defect, axis=-1)
+    residual = _unsquared(_euclid, defect)
     live = np.flatnonzero(residual > off)
     for _ in range(60):
         if not len(live):
@@ -506,10 +521,10 @@ def close_defect_batch(space: CCSpace, endpoints, targets, collect=False):
         left = group.bch(-ends, tg)
         if every:
             endpoints, defect = ends, left
-            residual = np.linalg.norm(left, axis=-1)
+            residual = _unsquared(_euclid, left)
         else:
             endpoints[live], defect[live] = ends, left
-            residual[live] = np.linalg.norm(left, axis=-1)
+            residual[live] = _unsquared(_euclid, left)
         if collect and every:
             segs.extend(moves)
         elif collect:
@@ -916,81 +931,121 @@ def _initial_controls(space, targets, budget, rng):
     return np.stack(inits, axis=0)
 
 
-def _shortest_paths(space: CCSpace, targets, budget, seed, radius=None):
-    """Shortest optimized and ladder-closed path from e^0 to each target.
+@dataclass
+class _Starts:
+    """A batch of targets at unit scale and the optimizer starts drawn for it."""
 
-    Per row the shortest start whose ladder closure is feasible is kept;
-    a row with no feasible start gets the straight segment plus its
-    ladder closure instead (``certified_upper_cheap``).  Returns (upper,
-    residual, paths): ``upper`` is the kept path's length, inf where even
-    that is infeasible and 0 for a zero target.  ``paths`` lists (rows,
-    controls) per chunk of nonzero targets, the kept paths as
-    unit-duration control displacements, (len(rows), k, d1).  With a
-    ``radius`` the optimizer stops each start once it has a projected
-    path whose returned length is at most the radius
-    (``_optimize_controls``); that path meets the target within
-    ``PROJECT_TOL``, below the closure's ``EXACT_TOL``, so its closure
-    adds nothing.
+    targets: np.ndarray  # (B, n) as given
+    scales: np.ndarray   # (B,) homogeneous norms
+    unit: np.ndarray     # (B, n) targets dilated to unit homogeneous norm
+    chunks: list         # per chunk of CHUNK rows: its nonzero targets' rows
+                         # and their (S, len(rows), m, d1) starts
+    budget: OptimizerBudget
+
+
+def _draw_starts(space: CCSpace, targets, budget, seed):
+    """Normalize a batch of targets and draw its starts, once.
+
+    A dilation maps witness paths to witness paths and scales lengths
+    exactly, so every target is bounded at unit homogeneous norm and the
+    bound is exactly dilation covariant.  The starts are drawn from one
+    generator seeded by ``seed``, chunk by chunk and for the nonzero
+    targets of a chunk only, so a row bounded in any subset of its chunk
+    (``_bound_rows``) starts where it starts in the whole batch.
     """
     targets = np.atleast_2d(space.algebra.vector(targets))
-    if radius is not None and not (np.isfinite(radius) and radius > 0):
-        raise InputError(f"radius must be positive and finite, got {radius!r}")
-    # Normalize to unit homogeneous norm: a dilation maps witness paths to
-    # witness paths and scales lengths exactly, so the bound is computed at
-    # scale one and is exactly dilation covariant.
     scales = space.homogeneous_norm(targets)
     if not np.all(np.isfinite(scales)):  # a non-finite or too large target
         raise InputError("targets and their homogeneous norms must be finite")
     B = targets.shape[0]
-    rng = np.random.default_rng(seed)
-    upper = np.zeros(B)
-    residual = np.zeros(B)
     live = scales > 0
     weights = np.ones_like(targets)
     weights[live] = (
         1.0 / scales[live, None]
     ) ** space.algebra.layer_of.astype(float)[None, :]
-    norm_targets = targets * weights
-
-    paths = []
+    unit = targets * weights
+    rng = np.random.default_rng(seed)
+    chunks = []
     for first in range(0, B, CHUNK):
         idx = np.arange(first, min(first + CHUNK, B))
         idx = idx[live[idx]]
-        if not len(idx):
-            continue
-        tg = norm_targets[idx]
-        inits = _initial_controls(space, tg, budget, rng)
-        S, b = inits.shape[0], len(idx)
-        stacked = np.tile(tg, (S, 1))
-        controls = _optimize_controls(
-            space.group, space.metric.gram, stacked,
-            inits.reshape(S * b, budget.segments, -1), budget,
-            None if radius is None else (radius, np.tile(scales[idx], S)),
-        )
-        endpoint = path_endpoints_batch(space.group, controls)
-        lengths = np.sum(space.metric.norm(controls), axis=-1)
-        extra, _, res, segs = close_defect_batch(space, endpoint, stacked,
-                                                 collect=True)
-        total = (lengths + extra).reshape(S, b)
-        res = res.reshape(S, b)
-        total = np.where(res <= 1e-9 * (1 + np.linalg.norm(tg, axis=-1)),
-                         total, np.inf)
-        best = np.argmin(total, axis=0)
-        cols = np.arange(b)
-        upper[idx] = total[best, cols] * scales[idx]
-        residual[idx] = res[best, cols]
-        kept = [controls.reshape(S, b, budget.segments, -1)[best, cols]]
-        kept += [u.reshape(S, b, 1, -1)[best, cols] for u in segs]
-        kept = scales[idx, None, None] * np.concatenate(kept, axis=1)
-        failed = ~np.isfinite(upper[idx])
-        if np.any(failed):
-            rows = idx[failed]
-            upper[rows], residual[rows], straight = _straight_ladder(
-                space, targets[rows], collect=True)
-            width = max(kept.shape[1], straight.shape[1])
-            kept = np.pad(kept, ((0, 0), (0, width - kept.shape[1]), (0, 0)))
-            kept[failed] = np.pad(
-                straight, ((0, 0), (0, width - straight.shape[1]), (0, 0)))
+        if len(idx):
+            chunks.append((idx, _initial_controls(space, unit[idx], budget,
+                                                  rng)))
+    return _Starts(targets, scales, unit, chunks, budget)
+
+
+def _bound_rows(space: CCSpace, starts: _Starts, chunk, pick=slice(None),
+                radius=None):
+    """Bound the rows ``pick`` of chunk ``chunk`` of ``starts`` in one batch.
+
+    Per row the shortest start whose ladder closure is feasible is kept;
+    a row with no feasible start gets the straight segment plus its
+    ladder closure instead (``certified_upper_cheap``).  Returns (upper,
+    residual, kept) for those rows: ``upper`` is the kept path's length,
+    inf where even that is infeasible, and ``kept`` the kept paths as
+    unit-duration control displacements, (len(rows), k, d1).  On a
+    group of step 2 a row's bound does not depend on the other rows; on
+    step >= 3 the warm stage minimizes over the whole batch.
+    """
+    budget = starts.budget
+    rows, inits = starts.chunks[chunk]
+    rows, inits = rows[pick], inits[:, pick]
+    scales, tg = starts.scales[rows], starts.unit[rows]
+    S, b = budget.starts, len(rows)
+    stacked = np.tile(tg, (S, 1))
+    controls = _optimize_controls(
+        space.group, space.metric.gram, stacked,
+        inits.reshape(S * b, budget.segments, -1), budget,
+        None if radius is None else (radius, np.tile(scales, S)),
+    )
+    endpoint = path_endpoints_batch(space.group, controls)
+    lengths = np.sum(space.metric.norm(controls), axis=-1)
+    extra, _, res, segs = close_defect_batch(space, endpoint, stacked,
+                                             collect=True)
+    total = (lengths + extra).reshape(S, b)
+    res = res.reshape(S, b)
+    total = np.where(res <= 1e-9 * (1 + np.linalg.norm(tg, axis=-1)),
+                     total, np.inf)
+    best = np.argmin(total, axis=0)
+    cols = np.arange(b)
+    upper = total[best, cols] * scales
+    residual = res[best, cols]
+    kept = [controls.reshape(S, b, budget.segments, -1)[best, cols]]
+    kept += [u.reshape(S, b, 1, -1)[best, cols] for u in segs]
+    kept = scales[:, None, None] * np.concatenate(kept, axis=1)
+    failed = ~np.isfinite(upper)
+    if np.any(failed):
+        upper[failed], residual[failed], straight = _straight_ladder(
+            space, starts.targets[rows[failed]], collect=True)
+        width = max(kept.shape[1], straight.shape[1])
+        kept = np.pad(kept, ((0, 0), (0, width - kept.shape[1]), (0, 0)))
+        kept[failed] = np.pad(
+            straight, ((0, 0), (0, width - straight.shape[1]), (0, 0)))
+    return upper, residual, kept
+
+
+def _shortest_paths(space: CCSpace, targets, budget, seed, radius=None):
+    """Shortest optimized and ladder-closed path from e^0 to each target.
+
+    Draws the starts (``_draw_starts``) and bounds each chunk of nonzero
+    targets as one batch (``_bound_rows``).  Returns (upper, residual,
+    paths): ``upper`` is 0 for a zero target, and ``paths`` lists (rows,
+    kept paths) per chunk.  With a ``radius`` the optimizer stops each
+    start once it has a projected path whose returned length is at most
+    the radius (``_optimize_controls``); that path meets the target
+    within ``PROJECT_TOL``, below the closure's ``EXACT_TOL``, so its
+    closure adds nothing.
+    """
+    if radius is not None and not (np.isfinite(radius) and radius > 0):
+        raise InputError(f"radius must be positive and finite, got {radius!r}")
+    starts = _draw_starts(space, targets, budget, seed)
+    upper = np.zeros(len(starts.scales))
+    residual = np.zeros(len(starts.scales))
+    paths = []
+    for chunk, (idx, _) in enumerate(starts.chunks):
+        upper[idx], residual[idx], kept = _bound_rows(
+            space, starts, chunk, radius=radius)
         paths.append((idx, kept))
     return upper, residual, paths
 
@@ -1007,8 +1062,8 @@ def _straight_ladder(space: CCSpace, points, collect=False):
     start = space.embed_horizontal(u1)
     extra, _, res, segs = close_defect_batch(space, start, points,
                                              collect=collect)
-    upper = space.metric.norm(u1) + extra
-    missed = res > 1e-9 * (1 + np.linalg.norm(points, axis=-1))
+    upper = _unsquared(space.metric.norm, u1) + extra
+    missed = res > 1e-9 * (1 + _unsquared(_euclid, points))
     upper[missed | ~np.isfinite(res)] = np.inf
     return upper, res, np.stack([u1] + segs, axis=1) if collect else None
 
@@ -1191,9 +1246,19 @@ def calibrate_ballbox(space: CCSpace, samples=1000, seed=0):
 
     A is the maximum of (sum_i |v_i|^{1/i}) / upper(d_cc(e^0, e^v)) over
     the samples, upper bounds taken with ``OptimizerBudget(segments=12,
-    starts=2)``, inflated by a safety factor of 1.05 as holdout
-    headroom; dilation invariance of the ratio means unit-scale sampling
-    suffices.
+    starts=2)`` as ``cc_upper_batch`` takes them for the whole batch,
+    inflated by a safety factor of 1.05 as holdout headroom; dilation
+    invariance of the ratio means unit-scale sampling suffices.
+
+    The maximum is found by branch and bound.  A sample's ratio is at
+    most its ceiling sum_i |v_i|^{1/i} / lower, with the certified lower
+    bound of ``lower_bounds_batch``.  The n samples of a chunk of
+    ``CHUNK`` are bounded in rounds in decreasing ceiling order, first
+    ceil(sqrt(n)) of them, then twice as many each round, and a sample
+    goes to the optimizer only while its ceiling exceeds the best ratio
+    so far (less ``CEILING_SLACK``, relative).  The others are certified
+    not to raise the maximum, so ``max_ratio`` is the maximum over every
+    sample and only the bounded samples can raise ``CalibrationError``.
     """
     samples = int(samples)
     if samples < 100:
@@ -1207,17 +1272,29 @@ def calibrate_ballbox(space: CCSpace, samples=1000, seed=0):
     hnorm = space.homogeneous_norm(raw)
     weights = (1.0 / hnorm)[:, None] ** space.algebra.layer_of.astype(float)[None, :]
     vs = raw * weights
-    try:
-        upper, _ = cc_upper_batch(
-            space, vs, budget=OptimizerBudget(segments=12, starts=2),
-            seed=int(rng.integers(2**32)))
-    except OptimizerFailure as exc:
-        raise CalibrationError(
-            "upper-bound optimization failed during calibration",
-            failed_samples=[],
-        ) from exc
-    ratios = space.homogeneous_norm(vs) / upper
-    max_ratio = float(np.max(ratios))
+    starts = _draw_starts(space, vs, OptimizerBudget(segments=12, starts=2),
+                          int(rng.integers(2**32)))
+    hnorm = starts.scales  # the homogeneous norms of vs
+    ceiling = hnorm / lower_bounds_batch(space, vs)[0]
+    max_ratio = -np.inf
+    for chunk, (rows, _) in enumerate(starts.chunks):
+        order = np.argsort(-ceiling[rows], kind="stable")
+        first, size = 0, math.ceil(math.sqrt(len(rows)))
+        while first < len(rows):
+            pick = order[first:first + size]
+            # a prefix of the round, since the ceilings decrease along it
+            pick = pick[ceiling[rows[pick]] > max_ratio * (1.0 - CEILING_SLACK)]
+            if not len(pick):
+                break
+            upper = _bound_rows(space, starts, chunk, pick)[0]
+            if not np.all(np.isfinite(upper)):
+                raise CalibrationError(
+                    "upper-bound optimization failed during calibration",
+                    failed_samples=rows[pick[~np.isfinite(upper)]].tolist(),
+                )
+            max_ratio = max(max_ratio,
+                            float(np.max(hnorm[rows[pick]] / upper)))
+            first, size = first + size, 2 * size
     A = max(max_ratio * safety, 1.0)
     return BallBoxConstant(
         A=A, samples=samples, seed=seed, safety=safety, max_ratio=max_ratio

@@ -1,10 +1,15 @@
 """The carnot command: parsing, reports, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import carnot
 from carnot import cli
 from carnot.cli import main, parse_direction, parse_grid, load_group
 from carnot.errors import InputError
@@ -87,6 +92,22 @@ def test_non_finite_input_exit_1(tmp_path):
         for tmax in ("nan", "inf"):
             assert run([cmd, "--v", "X", "--w", "Y", f"--tmax={tmax}"]
                        + common) == 1
+    assert not list(tmp_path.iterdir())
+
+
+def test_divergence_grid_past_overflow_exit_1(tmp_path):
+    # t^2 overflows at t = 1e200: the grid is refused before the dilation
+    # meets it, with the error line alone on stderr
+    src = Path(carnot.__file__).parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    for cmd in ("divergence", "obstruction"):
+        done = subprocess.run(
+            [sys.executable, "-m", "carnot.cli", cmd, "--group", "heisenberg",
+             "--v", "X", "--w", "Y", "--tmax", "1e200", "--out", str(tmp_path)],
+            capture_output=True, text=True, env=env)
+        assert done.returncode == 1
+        assert "error: InputError" in done.stderr
+        assert "RuntimeWarning" not in done.stderr
     assert not list(tmp_path.iterdir())
 
 

@@ -4,6 +4,8 @@ The vertical Heisenberg distance is frozen against an independent
 isoperimetric oracle (shortest planar loop of prescribed signed area).
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,8 @@ from carnot.metric import (
     ControlPath,
     HorizontalMetric,
     OptimizerBudget,
+    _bound_rows,
+    _draw_starts,
     _endpoint_jacobian,
     _initial_controls,
     _optimize_controls,
@@ -687,12 +691,83 @@ def test_non_finite_input_rejected(heis):
 
 
 def test_targets_too_large_to_square_get_their_bound(heis):
-    # the layer norms scale such rows before squaring, so the optimizer
-    # bounds them at unit scale; the straight-segment closure overflows
-    # in the product and gives no bound
+    # the norms scale such rows before squaring: the optimizer bounds them
+    # at unit scale, and the straight segment plus its closure gets the
+    # square loop of side 1e100 and the exact horizontal distance
     upper, _ = cc_upper_batch(heis, np.array([[0, 0, 1e200], [1e200, 0, 0]]))
     assert np.sqrt(4 * np.pi * 1e200) <= upper[0] <= 1.01 * np.sqrt(
         4 * np.pi * 1e200)
     assert upper[1] == pytest.approx(1e200, rel=1e-12)
-    for far in ([0, 0, 1e200], [1e200, 0, 0]):
-        assert certified_upper_cheap(heis, far)[0] == np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cheap = certified_upper_cheap(heis, [[0, 0, 1e200], [1e200, 0, 0]])
+    assert np.sqrt(4 * np.pi * 1e200) <= cheap[0] == 4e100
+    assert cheap[1] == 1e200
+
+
+CALIBRATION = OptimizerBudget(segments=12, starts=2)
+
+
+def _calibration_reference(space, samples, seed):
+    """The largest ratio over every sample, all bounded in one batch."""
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal((samples, space.algebra.dim))
+    raw[0] = space.embed_horizontal(np.ones(space.d1))
+    vs = raw * ((1.0 / space.homogeneous_norm(raw))[:, None]
+                ** space.algebra.layer_of.astype(float))
+    upper, _ = cc_upper_batch(space, vs, budget=CALIBRATION,
+                              seed=int(rng.integers(2**32)))
+    return float(np.max(space.homogeneous_norm(vs) / upper))
+
+
+@pytest.mark.parametrize("case, samples, seed", [
+    ("heisenberg", 100, 1000), ("heisenberg", 150, 3), ("heisenberg", 1000, 0),
+    ("heisenberg-gram", 100, 0), ("free2-3", 100, 0), ("abelian3", 100, 0),
+    ("engel", 200, 0),
+])
+def test_calibration_keeps_the_full_maximum(case, samples, seed):
+    # only the samples whose ceiling can still set the maximum are bounded,
+    # from the starts the whole batch draws; on abelian3 every ceiling is 1
+    # and the ratios differ from it only by roundoff
+    if case == "heisenberg-gram":
+        space = CCSpace(catalog.heisenberg(),
+                        HorizontalMetric([[2.0, 0.3], [0.3, 1.0]]))
+    else:
+        space = CCSpace(catalog.get(case))
+    got = calibrate_ballbox(space, samples, seed)
+    want = _calibration_reference(space, samples, seed)
+    if case == "engel":  # the warm stage minimizes over the whole batch
+        assert got.max_ratio == pytest.approx(want, rel=1e-9)
+    else:
+        assert got.max_ratio == want
+
+
+def test_calibration_bounds_few_samples(heis, monkeypatch):
+    rows = []
+    solve = metric._optimize_controls
+
+    def counted(group, gram, targets, controls0, budget, radius=None):
+        rows.append(len(targets) // budget.starts)
+        return solve(group, gram, targets, controls0, budget, radius)
+
+    monkeypatch.setattr(metric, "_optimize_controls", counted)
+    calibrate_ballbox(heis, 100, 1000)
+    assert 0 < sum(rows) <= 25
+
+
+@pytest.mark.parametrize("case", ["heisenberg", "heisenberg-gram", "free2-3"])
+def test_row_bound_ignores_its_batch_mates(case):
+    # on step-2 groups a row bounded inside a permuted subset of the batch,
+    # from the batch's starts, has the bits of its bound in the whole batch
+    if case == "heisenberg-gram":
+        space = CCSpace(catalog.heisenberg(),
+                        HorizontalMetric([[2.0, 0.3], [0.3, 1.0]]))
+    else:
+        space = CCSpace(catalog.get(case))
+    targets = np.random.default_rng(34).standard_normal((100, space.algebra.dim))
+    full, residual = cc_upper_batch(space, targets, budget=CALIBRATION, seed=35)
+    rows = np.array([55, 3, 90, 17, 42])
+    starts = _draw_starts(space, targets, CALIBRATION, 35)
+    upper, res, _ = _bound_rows(space, starts, 0, rows)
+    assert np.array_equal(upper, full[rows])
+    assert np.array_equal(res, residual[rows])
