@@ -308,7 +308,9 @@ def cmd_spread(args):
         ["epsilon", "t", "sup_distance", "sup_over_t"],
         rep.rows,
         footer_json={"config": _resolved(args),
-                     "c_of_epsilon": rep.c_of_epsilon()},
+                     "c_of_epsilon": rep.c_of_epsilon(),
+                     "rows_to_end": rep.rows_to_end,
+                     "rows_floored": rep.rows_floored},
     )
     print("C(eps):", ", ".join(f"{e:g}:{c:.4g}"
                                for e, c in rep.c_of_epsilon()),

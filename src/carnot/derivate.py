@@ -28,6 +28,7 @@ from .errors import InputError, LipschitzViolation
 from .metric import (
     CCSpace,
     cc_upper_batch,
+    cc_upper_max,
     lower_bounds_batch,
     riemannian_upper_batch,
 )
@@ -369,11 +370,17 @@ def check_homogeneity(base: DerivateEstimate, scaled: dict) -> dict:
 
 @dataclass
 class SpreadReport:
-    """Empirical sup of the flowed end-set spread, per (epsilon, t)."""
+    """Empirical sup of the flowed end-set spread, per (epsilon, t).
+
+    ``rows_to_end`` samples ran the path solver to the end and
+    ``rows_floored`` stopped at their cell's floor (``cc_upper_max``).
+    """
 
     rows: list  # (epsilon, t, sup_distance, sup_over_t)
     samples: int
     seed: int
+    rows_to_end: int
+    rows_floored: int
 
     def sup_over_t(self, epsilon):
         return [(t, s) for e, t, _, s in self.rows if e == epsilon]
@@ -393,8 +400,11 @@ def spread_estimate(space: CCSpace, v, epsilon_grid, t_grid, samples=64,
     d_cc(e^0, (h_t e^v)^{-1} z' h_t e^v) with z' the end displacement, so
     each cell is a batch of certified upper bounds on conjugated points.
     The cells' ends are drawn in (epsilon, t) order from one generator
-    and bounded together in one ``cc_upper_batch`` call with
-    ``MEMBERSHIP_BUDGET``.
+    and their suprema are taken in one ``cc_upper_max`` call with
+    ``MEMBERSHIP_BUDGET``: a branch and bound that runs the path solver to
+    the end only on the samples that can still set their cell's supremum.
+    On step-2 groups the suprema have the bits of bounding every sample
+    with ``cc_upper_batch`` in one batch and taking each cell's maximum.
     """
     v = space.algebra.vector(v)
     if np.any(np.abs(v[space.d1:]) > 0):
@@ -412,9 +422,12 @@ def spread_estimate(space: CCSpace, v, epsilon_grid, t_grid, samples=64,
         for eps, t in cells
     ])
     legs = np.repeat([float(t) for _, t in cells], samples)[:, None] * v
-    upper, _ = cc_upper_batch(space, space.group.conjugate(legs, ends),
-                              budget=MEMBERSHIP_BUDGET, seed=seed + 1)
-    sups = np.max(upper.reshape(len(cells), samples), axis=1)
+    points = space.group.conjugate(legs, ends)
+    sups, floored = cc_upper_max(space, points.reshape(len(cells), samples, -1),
+                                 budget=MEMBERSHIP_BUDGET, seed=seed + 1)
     rows = [(float(eps), float(t), float(sup), float(sup) / float(t))
             for (eps, t), sup in zip(cells, sups)]
-    return SpreadReport(rows=rows, samples=samples, seed=seed)
+    stopped = int(np.sum(floored))
+    return SpreadReport(rows=rows, samples=samples, seed=seed,
+                        rows_to_end=floored.size - stopped,
+                        rows_floored=stopped)

@@ -16,8 +16,11 @@ through the closed-form derivative of the product (``group.row_series``),
 so on a step-2 group none does.  A row with no feasible optimized start
 falls back to the straight segment plus its ladder closure.  Stopping is
 a rule per row: the closure moves only the rows still off their targets,
-and given a radius a row stops as soon as it has a projected path no
-longer than it, which is all that ball membership asks.  The path's
+and the solver has two optional rules (``_Stop``).  Given a radius a row
+stops as soon as it has a projected path no longer than it, which is all
+that ball membership asks.  Given a floor a row stops as soon as its
+energy certifies that it cannot reach the floor, which is all that a
+maximum over rows asks (``cc_upper_max``).  The path's
 prefix products are formed layer by layer: layers 1 and 2 telescope into
 prefix sums, higher layers come from one product call per block of steps.
 
@@ -68,10 +71,12 @@ HALVINGS = 8
 ARMIJO = 1e-4
 DECREASE_TOL = 1e-14
 # A calibration sample is left unbounded only once its ceiling is below the
-# best ratio by more than this, relative.  Ratio and ceiling share their
-# numerator, and a computed upper bound may read below an exact lower bound
-# (|z_1| on the abelian group, where every ceiling is 1) by roundoff or by
-# the residual a path is accepted at, 1e-9 (1 + |target|) at unit scale.
+# best ratio by more than this, relative, and a solver row stops at its
+# floor only once its length is certified below the floor by as much.
+# Ratio and ceiling share their numerator, and a computed upper bound may
+# read below an exact lower bound (|z_1| on the abelian group, where every
+# ceiling is 1) by roundoff or by the residual a path is accepted at,
+# 1e-9 (1 + |target|) at unit scale.
 CEILING_SLACK = 1e-8
 
 
@@ -775,22 +780,47 @@ def _bfgs_inverse_update(M, s, y):
     M -= (rho[:, None] * My)[:, :, None] * s[:, None, :]
 
 
-def _short(gram, radius, controls, ok, rows):
-    """The rows of ``ok`` whose (B, m, d) ``controls`` are no longer than r.
+class _Stop:
+    """The solver's per-row stopping rules, tested on projected rows.
 
-    ``radius`` is (r, scale) or None (no row is short); row k's length is
-    multiplied by ``scale[rows[k]]``, which makes it the bound that
-    ``_shortest_paths`` returns for a path that needs no closure.
+    A row's length and energy E = sum_j u_j^T G u_j are taken at unit
+    duration per segment and multiplied by the row's ``scale``, which makes
+    the length the bound that ``_shortest_paths`` returns for a path that
+    needs no closure.  Given a ``radius``, a row stops once its length is
+    at most the radius.  Given a ``floor`` per row, a row stops once
+    sqrt(m E) is below its floor by more than ``CEILING_SLACK``: from the
+    projection on E never rises, since every accepted SQP step passes an
+    Armijo test, and by Cauchy-Schwarz the row's final length is at most
+    sqrt(m E), so it cannot reach the floor.  ``floored`` marks the rows
+    the floor stopped.
     """
-    if radius is None:
-        return np.zeros_like(ok)
-    r, scale = radius
-    length = np.sum(np.sqrt(np.einsum("...i,...i->...", controls @ gram,
-                                      controls)), axis=-1)
-    return ok & (length * scale[rows] <= r)
+
+    def __init__(self, scale, radius=None, floor=None):
+        self.scale, self.radius, self.floor = scale, radius, floor
+        self.floored = np.zeros(len(scale), dtype=bool)
+
+    def take(self, rows):
+        """The rules of the given rows, with nothing floored yet."""
+        return _Stop(self.scale[rows], self.radius,
+                     None if self.floor is None else self.floor[rows])
+
+    def __call__(self, gram, controls, ok, rows):
+        """The rows of ``ok`` that stop; row k of the (B, m, d) ``controls``
+        is row ``rows[k]`` of the rules."""
+        squares = np.einsum("...i,...i->...", controls @ gram, controls)
+        scale = self.scale[rows]
+        stop = np.zeros_like(ok)
+        if self.radius is not None:
+            stop |= np.sum(np.sqrt(squares), axis=-1) * scale <= self.radius
+        if self.floor is not None:
+            low = ok & (np.sqrt(controls.shape[1] * np.sum(squares, axis=-1))
+                        * scale < self.floor[rows] * (1.0 - CEILING_SLACK))
+            self.floored[rows[low]] = True
+            stop |= low
+        return ok & stop
 
 
-def _sqp(group, gram, targets, tol, controls, c, J, max_iter, radius=None):
+def _sqp(group, gram, targets, tol, controls, c, J, max_iter, stop=None):
     """Feasible SQP on the energy subject to z_m(u) = target, per row.
 
     Starts from (B, m, d) ``controls`` that meet ``tol``, with their
@@ -802,10 +832,9 @@ def _sqp(group, gram, targets, tol, controls, c, J, max_iter, radius=None):
     steps), and updates M from y = grad L(u+, lam) - grad L(u, lam).  A
     row stops, keeping its last feasible iterate, once its predicted
     decrease -g^T p is at most ``DECREASE_TOL`` (1 + E), when no trial is
-    accepted, after ``max_iter`` iterations, or, given a ``radius``
-    (r, scale) with a scale per row, once its iterate's length times its
-    scale is at most r (``_short``); the stopped rows leave the working
-    arrays.
+    accepted, after ``max_iter`` iterations, or once a rule of ``stop``
+    (``_Stop``, a rule per row of the batch) stops its iterate; the
+    stopped rows leave the working arrays.
     """
     B, m, d = controls.shape
     N = m * d
@@ -846,7 +875,8 @@ def _sqp(group, gram, targets, tol, controls, c, J, max_iter, radius=None):
         # un is u on the rows that did not move; every row but the moved
         # ones before the cap stops here
         keep = moved if it + 1 < max_iter else np.zeros_like(moved)
-        keep &= ~_short(gram, radius, un.reshape(-1, m, d), moved, rows)
+        if stop is not None:
+            keep &= ~stop(gram, un.reshape(-1, m, d), keep, rows)
         out[rows[~keep]] = un[~keep].reshape(-1, m, d)
         if not np.any(keep):
             break
@@ -861,7 +891,7 @@ def _sqp(group, gram, targets, tol, controls, c, J, max_iter, radius=None):
     return out
 
 
-def _optimize_controls(group, gram, targets, controls0, budget, radius=None):
+def _optimize_controls(group, gram, targets, controls0, budget, stop=None):
     """Minimum-energy controls reaching the targets, per row.
 
     targets: (B, n); controls0: (B, m, d) with d = gram.shape[0].  On a
@@ -874,10 +904,10 @@ def _optimize_controls(group, gram, targets, controls0, budget, radius=None):
     its defect; the callers close the defect.  Returns the (B, m, d)
     controls.
 
-    ``radius`` is None or (r, scale), a scale per row.  Given one, a row
-    stops with the first projected path whose length times its scale is
-    at most r (``_short``): its projected warm point, then each SQP
-    iterate.
+    ``stop`` is None or the rows' stopping rules (``_Stop``): a row stops
+    with the first projected path that a rule stops, its projected warm
+    point or an SQP iterate, and ``stop.floored`` marks the rows the floor
+    stopped.
     """
     B, m, d = controls0.shape
     tol = PROJECT_TOL * (1.0 + np.linalg.norm(targets, axis=-1))
@@ -901,13 +931,16 @@ def _optimize_controls(group, gram, targets, controls0, budget, radius=None):
                         ).x.reshape(B, m, d)
     controls, c, J, ok = _project(group, warm, targets, tol, PROJECT_STEPS)
     controls[~ok] = warm[~ok]
-    live = np.flatnonzero(ok & ~_short(gram, radius, controls, ok,
-                                       np.arange(B)))
+    if stop is not None:
+        ok &= ~stop(gram, controls, ok, np.arange(B))
+    live = np.flatnonzero(ok)
     if len(live):
+        rules = None if stop is None else stop.take(live)
         controls[live] = _sqp(
             group, gram, targets[live], tol[live], controls[live], c[live],
-            J[live], budget.max_iter,
-            None if radius is None else (radius[0], radius[1][live]))
+            J[live], budget.max_iter, rules)
+        if stop is not None:
+            stop.floored[live] = rules.floored
     return controls
 
 
@@ -943,6 +976,15 @@ class _Starts:
     budget: OptimizerBudget
 
 
+def _dilated_to_unit(space: CCSpace, points, scales, rows):
+    """``points`` with the rows ``rows`` dilated by 1 / ``scales``."""
+    weights = np.ones_like(points)
+    weights[rows] = (
+        1.0 / scales[rows, None]
+    ) ** space.algebra.layer_of.astype(float)[None, :]
+    return points * weights
+
+
 def _draw_starts(space: CCSpace, targets, budget, seed):
     """Normalize a batch of targets and draw its starts, once.
 
@@ -959,11 +1001,7 @@ def _draw_starts(space: CCSpace, targets, budget, seed):
         raise InputError("targets and their homogeneous norms must be finite")
     B = targets.shape[0]
     live = scales > 0
-    weights = np.ones_like(targets)
-    weights[live] = (
-        1.0 / scales[live, None]
-    ) ** space.algebra.layer_of.astype(float)[None, :]
-    unit = targets * weights
+    unit = _dilated_to_unit(space, targets, scales, live)
     rng = np.random.default_rng(seed)
     chunks = []
     for first in range(0, B, CHUNK):
@@ -976,17 +1014,19 @@ def _draw_starts(space: CCSpace, targets, budget, seed):
 
 
 def _bound_rows(space: CCSpace, starts: _Starts, chunk, pick=slice(None),
-                radius=None):
+                radius=None, floor=None):
     """Bound the rows ``pick`` of chunk ``chunk`` of ``starts`` in one batch.
 
     Per row the shortest start whose ladder closure is feasible is kept;
     a row with no feasible start gets the straight segment plus its
     ladder closure instead (``certified_upper_cheap``).  Returns (upper,
-    residual, kept) for those rows: ``upper`` is the kept path's length,
-    inf where even that is infeasible, and ``kept`` the kept paths as
-    unit-duration control displacements, (len(rows), k, d1).  On a
-    group of step 2 a row's bound does not depend on the other rows; on
-    step >= 3 the warm stage minimizes over the whole batch.
+    residual, kept, floored) for those rows: ``upper`` is the kept path's
+    length, inf where even that is infeasible, ``kept`` the kept paths as
+    unit-duration control displacements, (len(rows), k, d1), and
+    ``floored`` the rows with a start that the ``floor`` (one per row)
+    stopped, whose bound is then certified below the floor (``_Stop``).
+    On a group of step 2 a row's bound does not depend on the other rows;
+    on step >= 3 the warm stage minimizes over the whole batch.
     """
     budget = starts.budget
     rows, inits = starts.chunks[chunk]
@@ -994,11 +1034,13 @@ def _bound_rows(space: CCSpace, starts: _Starts, chunk, pick=slice(None),
     scales, tg = starts.scales[rows], starts.unit[rows]
     S, b = budget.starts, len(rows)
     stacked = np.tile(tg, (S, 1))
+    stop = None
+    if radius is not None or floor is not None:
+        stop = _Stop(np.tile(scales, S), radius,
+                     None if floor is None else np.tile(floor, S))
     controls = _optimize_controls(
         space.group, space.metric.gram, stacked,
-        inits.reshape(S * b, budget.segments, -1), budget,
-        None if radius is None else (radius, np.tile(scales, S)),
-    )
+        inits.reshape(S * b, budget.segments, -1), budget, stop)
     endpoint = path_endpoints_batch(space.group, controls)
     lengths = np.sum(space.metric.norm(controls), axis=-1)
     extra, _, res, segs = close_defect_batch(space, endpoint, stacked,
@@ -1022,7 +1064,9 @@ def _bound_rows(space: CCSpace, starts: _Starts, chunk, pick=slice(None),
         kept = np.pad(kept, ((0, 0), (0, width - kept.shape[1]), (0, 0)))
         kept[failed] = np.pad(
             straight, ((0, 0), (0, width - straight.shape[1]), (0, 0)))
-    return upper, residual, kept
+    floored = (np.zeros(b, dtype=bool) if floor is None
+               else stop.floored.reshape(S, b).any(axis=0))
+    return upper, residual, kept, floored
 
 
 def _shortest_paths(space: CCSpace, targets, budget, seed, radius=None):
@@ -1044,7 +1088,7 @@ def _shortest_paths(space: CCSpace, targets, budget, seed, radius=None):
     residual = np.zeros(len(starts.scales))
     paths = []
     for chunk, (idx, _) in enumerate(starts.chunks):
-        upper[idx], residual[idx], kept = _bound_rows(
+        upper[idx], residual[idx], kept, _ = _bound_rows(
             space, starts, chunk, radius=radius)
         paths.append((idx, kept))
     return upper, residual, paths
@@ -1054,18 +1098,33 @@ def _straight_ladder(space: CCSpace, points, collect=False):
     """The straight segment to each point plus its ladder closure.
 
     Returns (upper, residual, path): the path's length, inf where the
-    closure is infeasible or its residual is not finite (a point too
-    large to square), the closure's residual and, if ``collect``,
-    the path as (B, k, d1) unit-duration control displacements.
+    closure is infeasible or its residual is not finite, the closure's
+    residual and, if ``collect``, the path as (B, k, d1) unit-duration
+    control displacements.
+
+    The closure forms products of up to d = max(step, 2) coordinates, of
+    size up to h^d at homogeneous norm h.  A finite row with h^(d + 1)
+    past the largest float could overflow, so it is bounded at unit
+    homogeneous norm, where its residual is reported, and its length and
+    path are dilated back; the other rows keep their bits.
     """
+    scales = space.homogeneous_norm(points)
+    degree = max(space.algebra.num_layers, 2)
+    big = np.isfinite(scales) & (
+        scales > np.finfo(float).max ** (1.0 / (degree + 1)))
+    if np.any(big):
+        points = _dilated_to_unit(space, points, scales, big)
+    dilation = np.where(big, scales, 1.0)
     u1 = points[:, : space.d1]
     start = space.embed_horizontal(u1)
     extra, _, res, segs = close_defect_batch(space, start, points,
                                              collect=collect)
-    upper = _unsquared(space.metric.norm, u1) + extra
+    upper = (_unsquared(space.metric.norm, u1) + extra) * dilation
     missed = res > 1e-9 * (1 + _unsquared(_euclid, points))
     upper[missed | ~np.isfinite(res)] = np.inf
-    return upper, res, np.stack([u1] + segs, axis=1) if collect else None
+    if not collect:
+        return upper, res, None
+    return upper, res, dilation[:, None, None] * np.stack([u1] + segs, axis=1)
 
 
 def certified_upper_cheap(space: CCSpace, points):
@@ -1096,13 +1155,74 @@ def cc_upper_batch(space: CCSpace, targets, budget=None, seed=0,
         budget = OptimizerBudget()
     upper, residual, _ = _shortest_paths(space, targets, budget, seed,
                                          radius)
+    _check_finite(upper, residual)
+    return upper, residual
+
+
+def _check_finite(upper, residual):
     if np.any(~np.isfinite(upper)):
         bad = int(np.sum(~np.isfinite(upper)))
         raise OptimizerFailure(
             f"{bad} of {len(upper)} targets failed to reach endpoint tolerance",
             residual=residual,
         )
-    return upper, residual
+
+
+def cc_upper_max(space: CCSpace, targets, budget=None, seed=0):
+    """Per cell, the largest certified upper bound over the cell's targets.
+
+    ``targets`` is (cells, k, n).  Returns (upper, floored): ``upper``
+    (cells,) is ``cc_upper_batch`` on the flattened batch, reshaped to
+    (cells, k) and maximized over axis 1.  It has the same bits on groups
+    of step 2; on 3-layer groups the block size of the prefix products
+    follows the live rows (``BLOCK_ROWS``), which moves it by roundoff.
+    ``floored`` (cells, k) marks the rows a floor stopped.  Raises
+    OptimizerFailure where ``cc_upper_batch`` does, with the flattened
+    batch's residuals.
+
+    The maxima are found by branch and bound over the rows, from the
+    starts the flattened batch draws (``_draw_starts``).  A cell's floor
+    starts at the largest certified lower bound of its rows, which the
+    cell's maximum does not read below by ``CEILING_SLACK``, and a row
+    stops as soon as its energy certifies that it cannot reach its cell's
+    floor (``_Stop``): its bound is then below the cell's maximum, and a
+    row that can set the maximum runs the solver to the end.  On step-2 groups, where a row's
+    bound does not depend on its batch-mates, each cell's row with the
+    largest lower bound is bounded first and its bound raises the cell's
+    floor; then the other rows are bounded.  On step >= 3 every row is
+    bounded in one batch against the lower-bound floors, since there the
+    warm stage minimizes over the whole batch and a row's bound can move
+    by far more than roundoff with its batch-mates.
+    """
+    if budget is None:
+        budget = OptimizerBudget()
+    targets = np.asarray(targets, dtype=float)
+    if targets.ndim != 3 or 0 in targets.shape[:2]:
+        raise InputError(f"targets must be (cells, k, n) with cells and k "
+                         f"positive, got shape {targets.shape}")
+    cells, k, _ = targets.shape
+    starts = _draw_starts(space, targets.reshape(cells * k, -1), budget, seed)
+    lower = lower_bounds_batch(space, starts.targets)[0].reshape(cells, k)
+    floor = np.max(lower, axis=1)
+    upper = np.zeros(cells * k)
+    residual = np.zeros(cells * k)
+    floored = np.zeros(cells * k, dtype=bool)
+    if space.algebra.num_layers <= 2:
+        lead = np.zeros(cells * k, dtype=bool)
+        lead[np.argmax(lower, axis=1) + k * np.arange(cells)] = True
+        rounds = [lead, ~lead]
+    else:
+        rounds = [np.ones(cells * k, dtype=bool)]
+    for chosen in rounds:
+        for chunk, (idx, _) in enumerate(starts.chunks):
+            pick = np.flatnonzero(chosen[idx])
+            if len(pick):
+                rows = idx[pick]
+                upper[rows], residual[rows], _, floored[rows] = _bound_rows(
+                    space, starts, chunk, pick, floor=floor[rows // k])
+        floor = np.maximum(floor, np.max(upper.reshape(cells, k), axis=1))
+    _check_finite(upper, residual)
+    return np.max(upper.reshape(cells, k), axis=1), floored.reshape(cells, k)
 
 
 def cc_upper(space: CCSpace, x, y, budget=None, seed=0):

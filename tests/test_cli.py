@@ -248,3 +248,6 @@ def test_spread_csv(tmp_path):
     footer = json.loads(lines[-1][2:])
     cs = footer["c_of_epsilon"]
     assert cs[0][1] > cs[1][1]  # decreasing in epsilon
+    # every sample ran the solver to the end or stopped at its cell's floor
+    assert footer["rows_to_end"] + footer["rows_floored"] == 2 * 2 * 16
+    assert footer["rows_to_end"] >= 4

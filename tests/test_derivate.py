@@ -1,9 +1,11 @@
 """Derivates of Lipschitz distances, the box samplers and the spread."""
 
+import importlib
+
 import numpy as np
 import pytest
 
-from carnot import catalog
+from carnot import catalog, cli, metric
 from carnot.derivate import (
     BoxSpec,
     LipschitzDistance,
@@ -26,6 +28,9 @@ from carnot.measure import (
     enclosing_box_halfwidths,
 )
 from carnot.metric import cc_upper_batch
+
+# the package root re-exports the function ``derivate``
+derivate_lab = importlib.import_module("carnot.derivate")
 
 
 def test_default_t_grid():
@@ -269,6 +274,44 @@ def test_spread_matches_per_cell_batches(heis):
     np.testing.assert_allclose([r[3] for r in rep.rows],
                                got / np.array([w[1] for w in want]),
                                rtol=1e-15)
+
+
+def test_spread_projects_at_most_half_the_rows(heis, monkeypatch):
+    # the CLI's default Heisenberg spread, 768 rows: counted over every
+    # projection call, the branch and bound projects at most half the rows
+    # that bounding every row to the end projects
+    calls, seen = [], []
+    project, bound_max = metric._project, derivate_lab.cc_upper_max
+
+    def counted(group, controls, *args):
+        calls.append(len(controls))
+        return project(group, controls, *args)
+
+    def recorded(space, targets, **kwargs):
+        seen.append((targets, kwargs))
+        return bound_max(space, targets, **kwargs)
+
+    monkeypatch.setattr(metric, "_project", counted)
+    monkeypatch.setattr(derivate_lab, "cc_upper_max", recorded)
+    rep = spread_estimate(heis, heis.algebra.from_label("X"),
+                          cli.parse_grid("0.4,0.2,0.1,0.05"),
+                          cli.parse_grid("1:4:3"), samples=64, seed=0)
+    pruned = sum(calls)
+    (targets, kwargs), = seen
+    assert targets.shape == (12, 64, 3)
+    assert rep.rows_to_end + rep.rows_floored == 768 and rep.rows_floored > 0
+    calls.clear()
+    upper, _ = cc_upper_batch(heis, targets.reshape(768, 3), **kwargs)
+    assert 0 < pruned <= 0.5 * sum(calls)
+    assert [r[2] for r in rep.rows] == list(upper.reshape(12, 64).max(axis=1))
+
+
+def test_spread_counts_are_deterministic(engel_space):
+    v = np.array([1.0, 0.0, 0.0, 0.0])
+    reps = [spread_estimate(engel_space, v, [0.4, 0.1], [1.0, 2.0],
+                            samples=16, seed=5) for _ in range(2)]
+    assert reps[0] == reps[1]
+    assert reps[0].rows_to_end + reps[0].rows_floored == 64
 
 
 def _derivate_rows_level_by_level(space, d, x, v, t_grid, samples, seed,

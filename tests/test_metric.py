@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from carnot import catalog, metric
-from carnot.errors import InputError, UnreachableError
+from carnot.errors import InputError, OptimizerFailure, UnreachableError
 from carnot.group import CarnotGroup, dilate, row_series
 from carnot.metric import (
     BallBoxConstant,
@@ -31,6 +31,7 @@ from carnot.metric import (
     cc_lower_ballbox,
     cc_upper,
     cc_upper_batch,
+    cc_upper_max,
     certified_upper_cheap,
     close_defect_batch,
     estimate_distance,
@@ -768,6 +769,106 @@ def test_row_bound_ignores_its_batch_mates(case):
     full, residual = cc_upper_batch(space, targets, budget=CALIBRATION, seed=35)
     rows = np.array([55, 3, 90, 17, 42])
     starts = _draw_starts(space, targets, CALIBRATION, 35)
-    upper, res, _ = _bound_rows(space, starts, 0, rows)
+    upper, res, _, _ = _bound_rows(space, starts, 0, rows)
     assert np.array_equal(upper, full[rows])
     assert np.array_equal(res, residual[rows])
+
+
+def _space(case):
+    if case == "heisenberg-gram":
+        return CCSpace(catalog.heisenberg(),
+                       HorizontalMetric([[2.0, 0.3], [0.3, 1.0]]))
+    return CCSpace(catalog.get(case))
+
+
+def _cell_targets(space, cells, k, seed):
+    """(cells, k, n) targets, each cell at its own scale."""
+    rng = np.random.default_rng(seed)
+    targets = rng.standard_normal((cells, k, space.algebra.dim))
+    scale = rng.uniform(0.2, 3.0, cells)[:, None, None]
+    return targets * scale ** space.algebra.layer_of.astype(float)
+
+
+@pytest.mark.parametrize("case", ["heisenberg", "heisenberg-gram", "free2-3",
+                                  "free2-4", "abelian3", "engel"])
+def test_cc_upper_max_keeps_the_batch_maxima(case):
+    # the rows a floor stops are certified below their cell's maximum, so
+    # the maxima are those of the whole batch; on Engel the warm stage and
+    # the block size of the prefix products see the live rows
+    space = _space(case)
+    targets = _cell_targets(space, 8, 12, 40)
+    got, floored = cc_upper_max(space, targets, budget=MEMBERSHIP_BUDGET,
+                                seed=41)
+    full, _ = cc_upper_batch(space, targets.reshape(96, -1),
+                             budget=MEMBERSHIP_BUDGET, seed=41)
+    want = full.reshape(8, 12).max(axis=1)
+    assert floored.shape == (8, 12) and np.any(floored)
+    if case == "engel":
+        np.testing.assert_allclose(got, want, rtol=1e-8)
+    else:
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("case", ["heisenberg", "free2-3"])
+def test_floored_rows_are_certified_below_the_floor(case):
+    # a row the floor stops keeps a projected path: its bound lies between
+    # its certified lower bound and the floor; the other rows run the
+    # solver to the end and keep the bits of the whole batch
+    space = _space(case)
+    targets = _cell_targets(space, 1, 64, 42)[0]
+    full, residual = cc_upper_batch(space, targets, budget=MEMBERSHIP_BUDGET,
+                                    seed=43)
+    floor = np.full(64, np.median(full))
+    starts = _draw_starts(space, targets, MEMBERSHIP_BUDGET, 43)
+    upper, res, _, floored = _bound_rows(space, starts, 0, floor=floor)
+    lower = lower_bounds_batch(space, targets)[0]
+    assert np.any(floored) and not np.all(floored)
+    assert np.all(res[floored] <= 1e-9)
+    assert np.all(lower[floored] <= upper[floored] * (1 + 1e-12))
+    assert np.all(upper[floored] < floor[floored])
+    assert np.array_equal(upper[~floored], full[~floored])
+    assert np.array_equal(res[~floored], residual[~floored])
+
+
+def test_cc_upper_max_fails_where_the_batch_fails(heis, monkeypatch, rng):
+    # row 0, at unit scale already, gets no feasible start and no
+    # feasible straight segment
+    targets = rng.standard_normal((2, 3, 3))
+    targets[0, 0] = [1.0, 0.0, 0.0]
+    solve, straight = metric._optimize_controls, metric._straight_ladder
+
+    def spoiled(group, gram, tg, controls0, budget, stop=None):
+        controls = solve(group, gram, tg, controls0, budget, stop)
+        controls[np.all(tg == targets[0, 0], axis=-1)] = np.nan
+        return controls
+
+    def no_segment(space, points, collect=False):
+        upper, res, path = straight(space, points, collect)
+        return np.full_like(upper, np.inf), res, path
+
+    monkeypatch.setattr(metric, "_optimize_controls", spoiled)
+    monkeypatch.setattr(metric, "_straight_ladder", no_segment)
+    for bound in (lambda: cc_upper_batch(heis, targets.reshape(6, 3)),
+                  lambda: cc_upper_max(heis, targets)):
+        with pytest.raises(OptimizerFailure, match="1 of 6 targets"):
+            bound()
+    with pytest.raises(InputError):
+        cc_upper_max(heis, targets[0])
+
+
+def test_straight_segment_too_large_to_multiply_gets_its_bound(
+        heis, engel_space):
+    # rows whose products could overflow are bounded at unit homogeneous
+    # norm and dilated back; the other rows keep their bits
+    small = np.array([[0.3, -1.2, 0.7], [0, 0, 1e200], [1e10, 2e10, 3e20]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        alone = certified_upper_cheap(heis, small)
+        mixed = certified_upper_cheap(
+            heis, np.concatenate([small, [[3e200, 4e200, 0]]]))
+        engel = certified_upper_cheap(
+            engel_space, [[3e200, 4e200, 0, 0], [3e100, 4e100, 1e200, 0]])
+    assert np.array_equal(mixed[:3], alone)
+    assert mixed[3] == pytest.approx(5e200, rel=1e-12)
+    assert engel[0] == pytest.approx(5e200, rel=1e-12)
+    assert 5e100 <= engel[1] < np.inf
