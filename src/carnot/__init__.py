@@ -5,7 +5,7 @@ The layers, bottom up:
 * ``algebra``: structure-constant graded Lie algebras and verification.
 * ``group``: exact BCH arithmetic (Baker's integral) in exponential coordinates.
 * ``metric``: certified two-sided Carnot-Caratheodory distance bounds.
-* ``measure``: Monte-Carlo ball volumes, dimension fits, End/Box samplers.
+* ``measure``: Monte-Carlo ball volumes, dimension fits, the End sampler.
 * ``derivate``: derivates of Lipschitz distances, the spread.
 * ``divergence``: geodesic-pair divergence versus model spaces.
 * ``cli``: the ``carnot`` command.
@@ -34,7 +34,6 @@ from .measure import (
     DimensionFit,
     VolumeEstimate,
     ball_volume,
-    box_ball_density,
     fit_dimension,
     homogeneous_dimension,
 )
@@ -49,7 +48,6 @@ from .metric import (
     calibrate_ballbox,
     cc_lower_abelian,
     cc_lower_ballbox,
-    cc_upper,
     estimate_distance,
 )
 from .derivate import (
@@ -57,9 +55,7 @@ from .derivate import (
     DerivateEstimate,
     LipschitzDistance,
     cc_distance,
-    check_homogeneity,
     derivate,
-    sample_box,
     sample_end,
     spread_estimate,
 )
@@ -84,12 +80,11 @@ __all__ = [
     "BchTable", "CarnotGroup", "conjugate", "dilate", "inverse",
     "BallBoxConstant", "CCSpace", "ControlPath", "DistanceEstimate",
     "HorizontalMetric", "LayerBounds", "OptimizerBudget", "calibrate_ballbox",
-    "cc_lower_abelian", "cc_lower_ballbox", "cc_upper", "estimate_distance",
-    "DimensionFit", "VolumeEstimate", "ball_volume", "box_ball_density",
-    "fit_dimension", "homogeneous_dimension",
+    "cc_lower_abelian", "cc_lower_ballbox", "estimate_distance",
+    "DimensionFit", "VolumeEstimate", "ball_volume", "fit_dimension",
+    "homogeneous_dimension",
     "BoxSpec", "DerivateEstimate", "LipschitzDistance", "cc_distance",
-    "check_homogeneity", "derivate", "sample_box", "sample_end",
-    "spread_estimate",
+    "derivate", "sample_end", "spread_estimate",
     "DivergenceFit", "GeodesicPair", "ModelLine", "ModelSpace",
     "divergence_profile", "model_divergence", "obstruction_report",
     "__version__",

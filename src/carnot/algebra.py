@@ -87,18 +87,6 @@ class GradedAlgebra:
             raise InputError(f"layer {i} out of range 1..{self.num_layers}")
         return slice(int(self._offsets[i - 1]), int(self._offsets[i]))
 
-    def project(self, x, i):
-        """Component of ``x`` in layer ``i``, embedded back in the full space."""
-        x = self.vector(x)
-        out = np.zeros_like(x)
-        s = self.layer_slice(i)
-        out[..., s] = x[..., s]
-        return out
-
-    def layer_component(self, x, i):
-        """The layer-``i`` coordinates of ``x`` as a short vector."""
-        return self.vector(x)[..., self.layer_slice(i)]
-
     def vector(self, x):
         """Validate and convert ``x`` to a coefficient array (batch-friendly)."""
         x = np.asarray(x, dtype=float)

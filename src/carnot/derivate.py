@@ -7,8 +7,8 @@ t-grid, extrapolated by a tail fit; reports carry both the raw per-t
 data and the fit so the estimator is auditable.
 
 Also here: the certified ball sampler and the spread estimate
-quantifying how a box's end stays together under the flow.  The End/Box
-samplers live in ``measure`` and are re-exported here.
+quantifying how a box's end stays together under the flow, on the End
+sampler of ``measure``.
 
 Each lab draws all of its samples first, in the order of a per-level
 loop, and evaluates the distance once on the whole set, so the path
@@ -37,7 +37,6 @@ from .measure import (
     BoxSpec,
     certified_upper_cheap,
     enclosing_box_halfwidths,
-    sample_box,
     sample_end,
 )
 
@@ -51,7 +50,7 @@ class LipschitzDistance:
 
     ``evaluator`` maps two (B, n) coordinate arrays to (B,) nonnegative
     reals and must be pure.  The declared constant is a contract checked
-    by ``validate`` and during derivate sampling, not a derived fact.
+    during derivate sampling, not a derived fact.
     """
 
     name: str
@@ -63,45 +62,6 @@ class LipschitzDistance:
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         ys = np.atleast_2d(np.asarray(ys, dtype=float))
         return np.asarray(self.evaluator(xs, ys), dtype=float)
-
-    def validate(self, space: CCSpace, samples=64, seed=0, scale=1.0):
-        """Check symmetry, triangle inequality, Lipschitz bound on samples.
-
-        Raises LipschitzViolation naming the first offending pair.
-        """
-        rng = np.random.default_rng(seed)
-        n = space.algebra.dim
-        xs = scale * rng.standard_normal((samples, n))
-        ys = scale * rng.standard_normal((samples, n))
-        zs = scale * rng.standard_normal((samples, n))
-        dxy = self(xs, ys)
-        dyx = self(ys, xs)
-        bad = np.abs(dxy - dyx) > self.tol * (1 + np.abs(dxy))
-        if np.any(bad):
-            i = int(np.argmax(bad))
-            raise LipschitzViolation(
-                f"{self.name}: symmetry violated, d(x,y)={dxy[i]} "
-                f"d(y,x)={dyx[i]}", pair=(xs[i], ys[i]),
-            )
-        dxz = self(xs, zs)
-        dzy = self(zs, ys)
-        bad = dxy > dxz + dzy + 1e-9 * (1 + dxy)
-        if np.any(bad):
-            i = int(np.argmax(bad))
-            raise LipschitzViolation(
-                f"{self.name}: triangle inequality violated by "
-                f"{dxy[i] - dxz[i] - dzy[i]}", pair=(xs[i], ys[i]),
-            )
-        deltas = space.group.bch(-xs, ys)
-        cc_up = certified_upper_cheap(space, deltas)
-        bad = dxy > self.L * cc_up + self.tol
-        if np.any(bad):
-            i = int(np.argmax(bad))
-            raise LipschitzViolation(
-                f"{self.name}: Lipschitz bound violated, d={dxy[i]} > "
-                f"{self.L} * {cc_up[i]}", pair=(xs[i], ys[i]),
-            )
-        return True
 
 
 def _canonical_deltas(space, xs, ys):
@@ -158,7 +118,7 @@ def snowflake_distance(space: CCSpace, ballbox=None,
     """Negative control: sqrt of d_cc with a (false) declared L = 1.
 
     A snowflaked metric is not Lipschitz against d_cc at small scales;
-    validation and derivate sampling detect this and raise.
+    derivate sampling detects this and raises.
     """
     base = cc_distance(space, ballbox=ballbox, seed=seed)
 
@@ -297,6 +257,7 @@ def derivate(space: CCSpace, d: LipschitzDistance, x, v, t_grid=None,
     d(y, y h_t e^v)/t recorded; extremes per level, tail-extrapolated.
     The radial geodesic gives d_cc(y, y h_t e^v) = t |v| exactly, so the
     declared Lipschitz constant is enforced on every sampled pair.
+    The grid needs at least 2 levels, each at least 1e-5.
     Every level is sampled first, in descending t from one generator,
     and d is evaluated once on all the pairs; the Lipschitz check then
     runs level by level, so the first violation found is at the largest
@@ -312,8 +273,9 @@ def derivate(space: CCSpace, d: LipschitzDistance, x, v, t_grid=None,
     if t_grid is None:
         t_grid = default_t_grid()
     t_grid = np.asarray(sorted(t_grid, reverse=True), dtype=float)
-    if not len(t_grid) or np.any(t_grid < 1e-5):
-        raise InputError("t grid must be nonempty with entries above 1e-5")
+    if len(t_grid) < 2 or np.any(t_grid < 1e-5):
+        raise InputError(f"t grid needs at least 2 levels, each at least "
+                         f"1e-5, for the tail fit; got {t_grid.tolist()}")
     vnorm = float(space.metric.norm(v[: space.d1]))
     rng = np.random.default_rng(seed)
     ys = np.concatenate([sample_ball(space, x, t, samples_per_t, rng, ballbox)
@@ -347,24 +309,6 @@ def derivate(space: CCSpace, d: LipschitzDistance, x, v, t_grid=None,
     )
 
 
-def check_homogeneity(base: DerivateEstimate, scaled: dict) -> dict:
-    """Residuals of rho(x, tau v) = |tau| rho(x, v) across a tau map.
-
-    ``scaled`` maps tau to the DerivateEstimate for direction tau*v.
-    Also reports the symmetry residual at tau = -1 when present.
-    """
-    rho_base = 0.5 * (base.rho_lower + base.rho_upper)
-    report = {"base_rho": rho_base, "residuals": {}}
-    for tau, est in scaled.items():
-        rho = 0.5 * (est.rho_lower + est.rho_upper)
-        report["residuals"][tau] = abs(rho - abs(tau) * rho_base)
-    if -1 in scaled:
-        est = scaled[-1]
-        rho = 0.5 * (est.rho_lower + est.rho_upper)
-        report["symmetry_residual"] = abs(rho - rho_base)
-    return report
-
-
 # -- spread ----------------------------------------------------------------
 
 
@@ -381,9 +325,6 @@ class SpreadReport:
     seed: int
     rows_to_end: int
     rows_floored: int
-
-    def sup_over_t(self, epsilon):
-        return [(t, s) for e, t, _, s in self.rows if e == epsilon]
 
     def c_of_epsilon(self):
         """Mean of sup/t across the t-grid, per epsilon (decreasing)."""

@@ -12,9 +12,8 @@ runs the one ``MEMBERSHIP_BUDGET``, and stops, by itself, as soon as it
 has a path no longer than the radius, so a member's upper bound is
 certified but not minimal.
 
-Also here: the End/Box samplers (a box is an end set flowed along a
-radial geodesic) and the box volumes and box-to-ball densities built on
-them.
+Also here: the End sampler, which draws the end set of a box (an end
+set flowed along a radial geodesic) for the spread.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
 
 from .algebra import GradedAlgebra
 from .errors import InputError
@@ -192,7 +190,7 @@ def dimension_experiment(space: CCSpace, ballbox, radii, samples_per_radius,
     return rows, fit_dimension(rows)
 
 
-# -- End / Box samplers ----------------------------------------------------
+# -- End sampler ----------------------------------------------------------
 
 
 @dataclass
@@ -261,99 +259,3 @@ def sample_end(space: CCSpace, spec: BoxSpec, count, rng):
         w[:, sl] = _ball_point(rng, count, a.layer_dims[i - 1],
                                spec.epsilon**i)
     return space.group.bch(spec.center, w)
-
-
-def sample_box(space: CCSpace, spec: BoxSpec, count, rng):
-    """Uniform-in-parameters samples from Box(center, direction, epsilon)."""
-    ends = sample_end(space, spec, count, rng)
-    s = rng.uniform(0.0, 1.0, (count, 1))
-    return space.group.bch(ends, s * spec.direction[None, :])
-
-
-# -- box vs ball density ---------------------------------------------------
-
-
-def _unit_ball_volume(dim):
-    return np.pi ** (dim / 2) / gamma_fn(dim / 2 + 1)
-
-
-def box_volume(space: CCSpace, v, epsilon, samples, seed=0):
-    """Monte-Carlo Lebesgue volume of Box(e^0, v, epsilon).
-
-    The box is the image of a product of per-layer balls and a unit
-    interval under (w, s) -> e^w e^{s v}; the volume integral is the mean
-    Jacobian determinant over the parameter domain.
-    """
-    a = space.algebra
-    v = a.vector(v)
-    if np.any(np.abs(v[space.d1:]) > 0):
-        raise InputError("box direction must lie in layer 1")
-    rng = np.random.default_rng(seed)
-    frame = _end_frame(space, v)
-    dims = [space.d1 - 1] + [a.layer_dims[i] for i in range(1, a.num_layers)]
-    radii = [float(epsilon) ** (i + 1) for i in range(a.num_layers)]
-    domain_vol = 1.0
-    for d, rad in zip(dims, radii):
-        domain_vol *= _unit_ball_volume(d) * rad**d
-    n_params = sum(dims) + 1
-
-    coords = [ _ball_point(rng, samples, d, rad) for d, rad in zip(dims, radii) ]
-    s = rng.uniform(0.0, 1.0, (samples, 1))
-
-    # w = embed @ (end parameters): the frame on layer 1, identity above
-    embed = np.zeros((a.dim, n_params - 1))
-    embed[: space.d1, : dims[0]] = frame.T
-    embed[space.d1 :, dims[0] :] = np.eye(a.dim - space.d1)
-    w = np.concatenate(coords, axis=1) @ embed.T
-    jx, jy = space.group.table.jacobians(w, s * v[None, :])
-    jac = np.concatenate([jx @ embed, (jy @ v)[..., None]], axis=-1)
-    if n_params == a.dim:
-        dets = np.abs(np.linalg.det(jac))
-    else:
-        gramians = np.einsum("bij,bik->bjk", jac, jac)
-        dets = np.sqrt(np.abs(np.linalg.det(gramians)))
-    mean = float(np.mean(dets))
-    stderr = float(np.std(dets) / np.sqrt(samples))
-    return domain_vol * mean, domain_vol * stderr
-
-
-@dataclass
-class DensityReport:
-    """Box-to-ball volume ratios across a height sweep."""
-
-    rows: list  # (t, box_volume, ball_volume, ratio)
-    enclosing_radius_factor: float  # R with Box(e^0, tv, t beta) in B(e^0, tR)
-
-    @property
-    def min_ratio(self):
-        return min(r[3] for r in self.rows)
-
-    @property
-    def max_ratio(self):
-        return max(r[3] for r in self.rows)
-
-
-def box_ball_density(space: CCSpace, ballbox, v, beta, t_values, samples,
-                     seed=0) -> DensityReport:
-    """Ratio vol(Box(e^0, tv, t beta)) / vol(B_cc(e^0, tR)) per height t."""
-    a = space.algebra
-    v = a.vector(v)
-    rng = np.random.default_rng(seed)
-    t_values = sorted(float(t) for t in t_values)
-
-    # enclosing radius factor from sampled box points at the largest height
-    t_top = t_values[-1]
-    spec = BoxSpec(np.zeros(a.dim), t_top * v, t_top * beta)
-    pts = sample_box(space, spec, 256, rng)
-    upper = certified_upper_cheap(space, pts)
-    finite = upper[np.isfinite(upper)]
-    R = float(np.max(finite)) / t_top * 1.05
-
-    rows = []
-    for idx, t in enumerate(t_values):
-        bvol, _ = box_volume(space, t * v, t * beta, samples,
-                             seed=seed + 101 * idx)
-        ball = ball_volume(space, ballbox, t * R, samples,
-                           seed=seed + 101 * idx + 1)
-        rows.append((t, bvol, ball.volume, bvol / ball.volume))
-    return DensityReport(rows=rows, enclosing_radius_factor=R)

@@ -560,11 +560,6 @@ class OptimizerBudget:
                 raise InputError(
                     f"{name} must be positive, got {getattr(self, name)!r}")
 
-    def replace(self, **kw):
-        d = self.__dict__.copy()
-        d.update(kw)
-        return OptimizerBudget(**d)
-
 
 def _prefix_endpoints(group, controls):
     """Prefix products z_0 = 0, ..., z_m of a (B, m, d) control stack.
@@ -1060,10 +1055,7 @@ def _bound_rows(space: CCSpace, starts: _Starts, chunk, pick=slice(None),
     if np.any(failed):
         upper[failed], residual[failed], straight = _straight_ladder(
             space, starts.targets[rows[failed]], collect=True)
-        width = max(kept.shape[1], straight.shape[1])
-        kept = np.pad(kept, ((0, 0), (0, width - kept.shape[1]), (0, 0)))
-        kept[failed] = np.pad(
-            straight, ((0, 0), (0, width - straight.shape[1]), (0, 0)))
+        kept = _merged(kept, failed, straight)
     floored = (np.zeros(b, dtype=bool) if floor is None
                else stop.floored.reshape(S, b).any(axis=0))
     return upper, residual, kept, floored
@@ -1094,27 +1086,23 @@ def _shortest_paths(space: CCSpace, targets, budget, seed, radius=None):
     return upper, residual, paths
 
 
-def _straight_ladder(space: CCSpace, points, collect=False):
-    """The straight segment to each point plus its ladder closure.
+def _merged(paths, rows, more):
+    """(B, k, d1) ``paths`` with the rows ``rows`` replaced by ``more``.
 
-    Returns (upper, residual, path): the path's length, inf where the
-    closure is infeasible or its residual is not finite, the closure's
-    residual and, if ``collect``, the path as (B, k, d1) unit-duration
-    control displacements.
-
-    The closure forms products of up to d = max(step, 2) coordinates, of
-    size up to h^d at homogeneous norm h.  A finite row with h^(d + 1)
-    past the largest float could overflow, so it is bounded at unit
-    homogeneous norm, where its residual is reported, and its length and
-    path are dilated back; the other rows keep their bits.
+    The shorter of the two stacks is padded with zero controls, which
+    move nothing and add no length.
     """
-    scales = space.homogeneous_norm(points)
-    degree = max(space.algebra.num_layers, 2)
-    big = np.isfinite(scales) & (
-        scales > np.finfo(float).max ** (1.0 / (degree + 1)))
-    if np.any(big):
-        points = _dilated_to_unit(space, points, scales, big)
-    dilation = np.where(big, scales, 1.0)
+    width = max(paths.shape[1], more.shape[1])
+    out = np.pad(paths, ((0, 0), (0, width - paths.shape[1]), (0, 0)))
+    out[rows] = np.pad(more, ((0, 0), (0, width - more.shape[1]), (0, 0)))
+    return out
+
+
+def _closed(space: CCSpace, points, scales, unit, collect):
+    """``_straight_ladder`` with the rows ``unit`` bounded at unit norm."""
+    if np.any(unit):
+        points = _dilated_to_unit(space, points, scales, unit)
+    dilation = np.where(unit, scales, 1.0)
     u1 = points[:, : space.d1]
     start = space.embed_horizontal(u1)
     extra, _, res, segs = close_defect_batch(space, start, points,
@@ -1125,6 +1113,38 @@ def _straight_ladder(space: CCSpace, points, collect=False):
     if not collect:
         return upper, res, None
     return upper, res, dilation[:, None, None] * np.stack([u1] + segs, axis=1)
+
+
+def _straight_ladder(space: CCSpace, points, collect=False):
+    """The straight segment to each point plus its ladder closure.
+
+    Returns (upper, residual, path): the path's length, inf where the
+    closure is infeasible or its residual is not finite, the closure's
+    residual and, if ``collect``, the path as (B, k, d1) unit-duration
+    control displacements.
+
+    A finite, nonzero row is bounded at unit homogeneous norm, where its
+    residual is reported, and its length and path are dilated back, when
+    its closure could overflow or misses at its own scale.  The closure
+    forms products of up to d = max(step, 2) coordinates, of size up to
+    h^d at homogeneous norm h: they could overflow once h^(d + 1) is past
+    the largest float, and their roundoff can exceed the tolerance, which
+    is relative to the point's coordinates, where those are far below h^k
+    in layer k.  The rows that close at their own scale keep their bits.
+    """
+    scales = space.homogeneous_norm(points)
+    finite = np.isfinite(scales) & (scales > 0)
+    degree = max(space.algebra.num_layers, 2)
+    big = finite & (scales > np.finfo(float).max ** (1.0 / (degree + 1)))
+    upper, res, path = _closed(space, points, scales, big, collect)
+    again = finite & ~big & ~np.isfinite(upper)
+    if np.any(again):
+        unit = np.ones(np.count_nonzero(again), dtype=bool)
+        upper[again], res[again], more = _closed(
+            space, points[again], scales[again], unit, collect)
+        if collect:
+            path = _merged(path, again, more)
+    return upper, res, path
 
 
 def certified_upper_cheap(space: CCSpace, points):
@@ -1225,53 +1245,6 @@ def cc_upper_max(space: CCSpace, targets, budget=None, seed=0):
     return np.max(upper.reshape(cells, k), axis=1), floored.reshape(cells, k)
 
 
-def cc_upper(space: CCSpace, x, y, budget=None, seed=0):
-    """Optimized feasible path from x to y and its exact length.
-
-    Returns a DistanceEstimate carrying only the upper bound and witness;
-    raises OptimizerFailure (with the best infeasible path attached) if
-    the endpoint tolerance cannot be met.
-    """
-    if budget is None:
-        budget = OptimizerBudget()
-    x = space.algebra.vector(x)
-    y = space.algebra.vector(y)
-    upper, residual, paths = _shortest_paths(
-        space, space.group.difference(x, y), budget, seed
-    )
-    if not paths:  # x == y
-        return DistanceEstimate(
-            lower=0.0,
-            upper=0.0,
-            witness=ControlPath(np.zeros(0), np.zeros((0, space.d1)), x),
-            lower_method="none",
-            upper_method="trivial",
-            endpoint_residual=0.0,
-            seed=seed,
-        )
-    _, kept = paths[0]
-    controls = kept[0]
-    keep = np.linalg.norm(controls, axis=1) > 0
-    witness = ControlPath(
-        np.ones(int(np.sum(keep))), controls[keep], x
-    ).constant_speed()
-    if not np.isfinite(upper[0]):
-        raise OptimizerFailure(
-            "endpoint tolerance not reached",
-            best_path=witness,
-            residual=float(residual[0]),
-        )
-    return DistanceEstimate(
-        lower=0.0,
-        upper=witness.length(space),
-        witness=witness,
-        lower_method="none",
-        upper_method=f"path-optimizer(m={budget.segments},starts={budget.starts})",
-        endpoint_residual=float(residual[0]),
-        seed=seed,
-    )
-
-
 def riemannian_upper_batch(space: CCSpace, targets):
     """Upper bounds on the Riemannian completion's distance from identity.
 
@@ -1318,10 +1291,6 @@ class DistanceEstimate:
                 f"lower bound {self.lower} exceeds upper bound {self.upper}"
             )
 
-    @property
-    def midpoint(self):
-        return 0.5 * (self.lower + self.upper)
-
     def as_dict(self, pair=None):
         doc = {
             "lower": self.lower,
@@ -1346,17 +1315,44 @@ class DistanceEstimate:
 
 
 def estimate_distance(space: CCSpace, x, y, budget=None, ballbox=None, seed=0):
-    """Two-sided certified estimate of d_cc(x, y)."""
-    est = cc_upper(space, x, y, budget=budget, seed=seed)
+    """Two-sided certified estimate of d_cc(x, y).
+
+    The upper bound is the exact length of the witness: the shortest
+    optimized path from x to y with its ladder closure, or the straight
+    segment with its closure.  Raises OptimizerFailure, with the best
+    infeasible path attached, if neither meets the endpoint tolerance.
+    """
+    if budget is None:
+        budget = OptimizerBudget()
+    x = space.algebra.vector(x)
     delta = space.group.difference(x, y)
+    upper, residual, paths = _shortest_paths(space, delta, budget, seed)
+    if paths:
+        controls = paths[0][1][0]
+        keep = np.linalg.norm(controls, axis=1) > 0
+        witness = ControlPath(
+            np.ones(int(np.sum(keep))), controls[keep], x
+        ).constant_speed()
+        if not np.isfinite(upper[0]):
+            raise OptimizerFailure(
+                "endpoint tolerance not reached",
+                best_path=witness,
+                residual=float(residual[0]),
+            )
+        length = witness.length(space)
+        upper_method = (f"path-optimizer(m={budget.segments},"
+                        f"starts={budget.starts})")
+    else:  # x == y
+        witness = ControlPath(np.zeros(0), np.zeros((0, space.d1)), x)
+        length, upper_method = 0.0, "trivial"
     lower, method = lower_bounds_batch(space, delta[None, :], ballbox)
     return DistanceEstimate(
-        lower=float(min(lower[0], est.upper)),
-        upper=est.upper,
-        witness=est.witness,
+        lower=float(min(lower[0], length)),
+        upper=length,
+        witness=witness,
         lower_method=str(method[0]),
-        upper_method=est.upper_method,
-        endpoint_residual=est.endpoint_residual,
+        upper_method=upper_method,
+        endpoint_residual=float(residual[0]),
         seed=seed,
     )
 

@@ -15,6 +15,11 @@ optimizer:
   (Montgomery, *A Tour of Subriemannian Geometries*, 2002): a shortest
   path to (x, y, z) projects to a circular arc over the chord from 0 to
   (x, y) enclosing signed area z (Dido's problem).
+
+Two checkers of the derivate lab's contracts read the library's results
+instead: ``check_lipschitz`` tests a declared ``LipschitzDistance`` on
+random pairs against the certified upper bound, and ``check_homogeneity``
+compares derivates along tau v with |tau| times the one along v.
 """
 
 import itertools
@@ -24,6 +29,8 @@ from scipy.linalg import expm
 from scipy.optimize import minimize
 
 from carnot.algebra import nilpotency_degree
+from carnot.errors import LipschitzViolation
+from carnot.measure import certified_upper_cheap
 
 
 class UEAOracle:
@@ -177,3 +184,63 @@ def heisenberg_distance(points):
     out[planar] = r[planar] * np.where(
         phi > 1e-12, safe / (2.0 * np.sin(safe / 2.0)), 1.0)
     return out
+
+
+def check_lipschitz(d, space, samples, seed, scale=1.0):
+    """Check symmetry, triangle inequality, Lipschitz bound on samples.
+
+    ``d`` is a ``LipschitzDistance``; the pairs are standard normal
+    coordinates times ``scale``.  Raises LipschitzViolation naming the
+    first offending pair.
+    """
+    rng = np.random.default_rng(seed)
+    n = space.algebra.dim
+    xs = scale * rng.standard_normal((samples, n))
+    ys = scale * rng.standard_normal((samples, n))
+    zs = scale * rng.standard_normal((samples, n))
+    dxy = d(xs, ys)
+    dyx = d(ys, xs)
+    bad = np.abs(dxy - dyx) > d.tol * (1 + np.abs(dxy))
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise LipschitzViolation(
+            f"{d.name}: symmetry violated, d(x,y)={dxy[i]} "
+            f"d(y,x)={dyx[i]}", pair=(xs[i], ys[i]),
+        )
+    dxz = d(xs, zs)
+    dzy = d(zs, ys)
+    bad = dxy > dxz + dzy + 1e-9 * (1 + dxy)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise LipschitzViolation(
+            f"{d.name}: triangle inequality violated by "
+            f"{dxy[i] - dxz[i] - dzy[i]}", pair=(xs[i], ys[i]),
+        )
+    deltas = space.group.bch(-xs, ys)
+    cc_up = certified_upper_cheap(space, deltas)
+    bad = dxy > d.L * cc_up + d.tol
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise LipschitzViolation(
+            f"{d.name}: Lipschitz bound violated, d={dxy[i]} > "
+            f"{d.L} * {cc_up[i]}", pair=(xs[i], ys[i]),
+        )
+    return True
+
+
+def check_homogeneity(base, scaled):
+    """Residuals of rho(x, tau v) = |tau| rho(x, v) across a tau map.
+
+    ``scaled`` maps tau to the DerivateEstimate for direction tau*v.
+    Also reports the symmetry residual at tau = -1 when present.
+    """
+    rho_base = 0.5 * (base.rho_lower + base.rho_upper)
+    report = {"base_rho": rho_base, "residuals": {}}
+    for tau, est in scaled.items():
+        rho = 0.5 * (est.rho_lower + est.rho_upper)
+        report["residuals"][tau] = abs(rho - abs(tau) * rho_base)
+    if -1 in scaled:
+        est = scaled[-1]
+        rho = 0.5 * (est.rho_lower + est.rho_upper)
+        report["symmetry_residual"] = abs(rho - rho_base)
+    return report

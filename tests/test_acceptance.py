@@ -14,12 +14,7 @@ import pytest
 
 from carnot import catalog
 from carnot.cli import main as cli_main
-from carnot.derivate import (
-    cc_distance,
-    check_homogeneity,
-    derivate,
-    spread_estimate,
-)
+from carnot.derivate import cc_distance, derivate, spread_estimate
 from carnot.divergence import (
     GeodesicPair,
     default_t_grid,
@@ -37,6 +32,7 @@ from carnot.metric import (
     cc_upper_batch,
     lower_bounds_batch,
 )
+from oracles import check_homogeneity
 
 SAMPLES_PER_RADIUS = 200_000
 RADII = [0.5, 0.5 * 4.0**0.25, 1.0, 0.5 * 4.0**0.75, 2.0]
@@ -164,7 +160,7 @@ def test_criterion_7_spread(capsys, heis):
                           eps_grid, [1.0, 2.0, 4.0], samples=48, seed=7)
     spans = []
     for eps in eps_grid:
-        sups = [s for _, s in rep.sup_over_t(eps)]
+        sups = [s for e, _, _, s in rep.rows if e == eps]
         spans.append(max(sups) / min(sups))
     cs = [c for _, c in rep.c_of_epsilon()]
     constant_in_t = max(spans) < 1.10

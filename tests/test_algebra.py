@@ -104,9 +104,6 @@ def test_layer_slicing():
     e = catalog.engel()
     assert e.layer_slice(1) == slice(0, 2)
     assert e.layer_slice(3) == slice(3, 4)
-    v = np.arange(4.0)
-    assert np.allclose(e.layer_component(v, 2), [2.0])
-    assert np.allclose(e.project(v, 1), [0.0, 1.0, 0.0, 0.0])
     with pytest.raises(InputError):
         e.layer_slice(4)
 

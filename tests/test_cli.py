@@ -201,6 +201,16 @@ def test_snowflake_derivate_exit_2(tmp_path):
     assert code == 2
 
 
+
+def test_one_level_derivate_exit_1(tmp_path, capsys):
+    # one level leaves the tail fit singular: the grid is refused with
+    # the error line, and nothing is written
+    assert run(["derivate", "--group", "heisenberg", "--v", "X",
+                "--levels", "1", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: InputError: t grid needs at least 2 levels")
+    assert not list(tmp_path.iterdir())
+
 def test_derivate_cc(tmp_path):
     assert run(["derivate", "--group", "heisenberg", "--v", "X",
                 "--samples", "8", "--levels", "6",

@@ -1,6 +1,7 @@
 """Source rules: no carnot module uses another's private names, no
-``np.einsum`` call takes three or more operands, and every parameter
-with a default is set by some caller."""
+``np.einsum`` call takes three or more operands, every parameter with a
+default is set by some caller, and every public name has a user outside
+the tests."""
 
 import ast
 from pathlib import Path
@@ -157,4 +158,52 @@ def test_every_option_has_a_caller():
         live, grew = grown, grown != live
     offenders = [f"{where}: {param}" for name, param, _, where in defaults
                  if (name, param) not in live]
+    assert offenders == []
+
+
+USER_DIRS = ("src", "demos", "perfbench")
+
+
+def _public_definitions(path):
+    """Public top-level functions and classes, and the classes' methods."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if (not isinstance(node, functions + (ast.ClassDef,))
+                or node.name.startswith("_")):
+            continue
+        yield node.name, f"{path.name}:{node.lineno} {node.name}"
+        for item in node.body if isinstance(node, ast.ClassDef) else ():
+            if isinstance(item, functions) and not item.name.startswith("_"):
+                yield item.name, (f"{path.name}:{item.lineno} "
+                                  f"{node.name}.{item.name}")
+
+
+def _names_read(path):
+    """Every ``ast.Name`` id and ``ast.Attribute`` attr in one file."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            | {node.attr for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute)})
+
+
+def test_every_public_name_has_a_user():
+    """A public function, class, method or property is read by the program.
+
+    The program is ``src``, ``demos`` and ``perfbench``; the package's
+    ``__init__`` and import statements do not count, so a name that only
+    the tests read fails.  The match is by bare name: a definition counts
+    as used when any name or attribute in the program spells it, say
+    ``replace`` through ``str.replace``.  The rule can miss an unused
+    name, but it never flags one that the program's code spells; only a
+    name reached through a string alone, as by ``getattr``, would be.
+    """
+    used = set()
+    for d in USER_DIRS:
+        for path in sorted((ROOT / d).rglob("*.py")):
+            if path != PACKAGE / "__init__.py":
+                used |= _names_read(path)
+    offenders = [where for path in sorted(PACKAGE.glob("*.py"))
+                 for name, where in _public_definitions(path)
+                 if name not in used]
     assert offenders == []

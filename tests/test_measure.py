@@ -1,4 +1,4 @@
-"""Volume growth, dimension fits and the box density construction."""
+"""Volume growth and dimension fits."""
 
 import numpy as np
 import pytest
@@ -9,8 +9,6 @@ from carnot.measure import (
     MEMBERSHIP_BUDGET,
     VolumeEstimate,
     ball_volume,
-    box_ball_density,
-    box_volume,
     dimension_experiment,
     enclosing_box_halfwidths,
     fit_dimension,
@@ -117,44 +115,3 @@ def test_dimension_experiment_abelian():
                                      [0.5, 1.0, 2.0], 8000, seed=6)
     assert fit.slope == pytest.approx(2.0, abs=0.15)
     assert len(rows) == 3
-
-
-def test_box_volume_abelian_closed_form():
-    space = CCSpace(catalog.abelian(3))
-    v = np.array([2.0, 0.0, 0.0])
-    vol, err = box_volume(space, v, 0.5, 4000, seed=7)
-    # disc of radius 1/2 swept along a straight segment of length 2
-    expect = np.pi * 0.25 * 2.0
-    assert vol == pytest.approx(expect, rel=0.05)
-    with pytest.raises(InputError):
-        box_volume(CCSpace(catalog.heisenberg()),
-                   np.array([0.0, 0.0, 1.0]), 0.5, 100)
-
-
-def test_box_volume_heisenberg_exact(heis):
-    # (a, c, s) -> e^{aY + cZ} e^{sLX} has Jacobian determinant L on the
-    # domain [-eps, eps] x [-eps^2, eps^2] x [0, 1], so the volume is 4 eps^3 L
-    x = heis.algebra.from_label("X")
-    for L, eps in ((1.0, 0.5), (2.0, 0.3), (0.7, 1.5)):
-        vol, _ = box_volume(heis, L * x, eps, 64, seed=3)
-        assert vol == pytest.approx(4 * eps**3 * L, rel=1e-13)
-
-
-def test_box_volume_scaling_abelian():
-    # doubling the direction and radius scales volume by 2^Q with Q = n
-    space = CCSpace(catalog.abelian(2))
-    v = np.array([1.0, 0.0])
-    v1, _ = box_volume(space, v, 0.2, 4000, seed=8)
-    v2, _ = box_volume(space, 2 * v, 0.4, 4000, seed=8)
-    assert v2 / v1 == pytest.approx(4.0, rel=0.1)
-
-
-def test_box_ball_density_heisenberg(heis, heis_ballbox):
-    rep = box_ball_density(heis, heis_ballbox,
-                           heis.algebra.from_label("X"), 0.3,
-                           [0.5, 1.0, 2.0], 3000, seed=9)
-    assert len(rep.rows) == 3
-    assert rep.enclosing_radius_factor > 0
-    assert rep.min_ratio > 0
-    # the ratio is dilation invariant up to Monte-Carlo noise
-    assert rep.max_ratio / rep.min_ratio < 2.0

@@ -4,6 +4,7 @@ The vertical Heisenberg distance is frozen against an independent
 isoperimetric oracle (shortest planar loop of prescribed signed area).
 """
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -29,7 +30,6 @@ from carnot.metric import (
     calibrate_ballbox,
     cc_lower_abelian,
     cc_lower_ballbox,
-    cc_upper,
     cc_upper_batch,
     cc_upper_max,
     certified_upper_cheap,
@@ -85,8 +85,8 @@ def test_vertical_distance_matches_isoperimetric_oracle(heis):
     # frozen oracle value: sqrt(4 pi) = 3.544908; loop with area 1
     oracle = min_loop_length(1.0)
     assert oracle == pytest.approx(np.sqrt(4 * np.pi), rel=1e-3)
-    est = cc_upper(heis, np.zeros(3), np.array([0.0, 0.0, 1.0]),
-                   budget=OptimizerBudget(segments=64))
+    est = estimate_distance(heis, np.zeros(3), np.array([0.0, 0.0, 1.0]),
+                            budget=OptimizerBudget(segments=64))
     assert est.upper == pytest.approx(np.sqrt(4 * np.pi), rel=0.01)
     assert est.upper >= np.sqrt(4 * np.pi) - 1e-9  # certified upper bound
 
@@ -99,7 +99,7 @@ def test_witness_is_feasible(heis, engel_space, rng):
         n = space.algebra.dim
         x = np.zeros(n)
         target = rng.standard_normal(n)
-        est = cc_upper(space, x, target, budget=FAST, seed=0)
+        est = estimate_distance(space, x, target, budget=FAST, seed=0)
         end = est.witness.endpoint(space)
         assert np.allclose(end, target, atol=1e-8)
         assert est.witness.length(space) == pytest.approx(est.upper, rel=1e-12)
@@ -326,7 +326,6 @@ def test_estimate_distance_report(heis, heis_ballbox):
     assert doc["lower"] <= doc["upper"]
     assert doc["witness_segments"] is not None
     assert doc["seed"] == 6
-    assert est.midpoint == pytest.approx(0.5 * (est.lower + est.upper))
 
 
 def test_unreachable_layer_raises():
@@ -538,7 +537,7 @@ def test_optimized_controls_meet_pontryagin_condition(heis):
     rng = np.random.default_rng(21)
     targets = rng.standard_normal((20, 3))
     targets /= heis.homogeneous_norm(targets)[:, None] ** np.array([1, 1, 2])
-    budget = FAST.replace(starts=1)
+    budget = dataclasses.replace(FAST, starts=1)
     controls0 = _initial_controls(heis, targets, budget, rng)[0]
     controls = _optimize_controls(heis.group, heis.metric.gram, targets,
                                   controls0, budget)
@@ -598,7 +597,7 @@ def test_failed_row_falls_back_to_the_ladder(heis, monkeypatch, rng):
     assert np.all(np.isfinite(upper))
     assert upper[0] == certified_upper_cheap(heis, pts[:1])[0]
     assert residual[0] <= 1e-9
-    est = cc_upper(heis, np.zeros(3), pts[0], budget=FAST, seed=26)
+    est = estimate_distance(heis, np.zeros(3), pts[0], budget=FAST, seed=26)
     assert est.upper == pytest.approx(upper[0], rel=1e-12)
     assert np.allclose(est.witness.endpoint(heis), pts[0], atol=1e-9)
 
@@ -852,6 +851,9 @@ def test_cc_upper_max_fails_where_the_batch_fails(heis, monkeypatch, rng):
                   lambda: cc_upper_max(heis, targets)):
         with pytest.raises(OptimizerFailure, match="1 of 6 targets"):
             bound()
+    with pytest.raises(OptimizerFailure, match="endpoint tolerance") as exc:
+        estimate_distance(heis, np.zeros(3), targets[0, 0])
+    assert isinstance(exc.value.best_path, ControlPath)
     with pytest.raises(InputError):
         cc_upper_max(heis, targets[0])
 
@@ -872,3 +874,25 @@ def test_straight_segment_too_large_to_multiply_gets_its_bound(
     assert mixed[3] == pytest.approx(5e200, rel=1e-12)
     assert engel[0] == pytest.approx(5e200, rel=1e-12)
     assert 5e100 <= engel[1] < np.inf
+
+
+def test_straight_segment_missing_at_its_scale_gets_its_bound(engel_space):
+    # (3e60, 4e60, 1e100, 1e150) is far below h^k in layers 2 and 3: its
+    # closure misses by 1e156 at its own scale and closes at unit
+    # homogeneous norm, where dilated back it meets its lower bound 5e60
+    points = np.array([[0.3, -1.0, 0.2, 0.5], [3e60, 4e60, 1e100, 1e150]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        alone = certified_upper_cheap(engel_space, points[:1])
+        upper, res, path = metric._straight_ladder(engel_space, points,
+                                                   collect=True)
+        end = path_endpoints_batch(engel_space.group, path)
+    assert upper[0] == alone[0]
+    assert upper[1] == pytest.approx(5e60, rel=1e-12)
+    assert lower_bounds_batch(engel_space, points)[0][1] <= upper[1]
+    assert res[1] <= 1e-9
+    # the collected path has the bound's length and reaches the point
+    lengths = np.sum(engel_space.metric.norm(path), axis=-1)
+    assert lengths == pytest.approx(upper, rel=1e-12)
+    scale = engel_space.homogeneous_norm(points)[:, None] ** [1, 1, 2, 3]
+    assert np.allclose(end / scale, points / scale, atol=1e-9)
