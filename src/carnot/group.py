@@ -22,9 +22,11 @@ product come in closed form from the derivative of exp: with
 psi(A) = A / (1 - e^{-A}) and phi(A) = (1 - e^{-A}) / A, both truncated
 at the nilpotency degree, z = bch(x, y) has Jacobians
 psi(-ad z) phi(-ad x) and psi(ad z) phi(ad y).  ``row_series`` applies
-such a series to rows by Horner's rule; the Jacobians and the path
-optimizer's pullback of covectors with content above layer 2 go through
-it.
+such a series to rows by Horner's rule; the Jacobians go through it, and
+so does the path optimizer's pullback of covectors with content above
+layer 2 on groups of step >= 4 and on long paths.  On groups of step
+<= 3 the optimizer evaluates a path's endpoint as a polynomial, whose
+coefficients it keeps on the table (``BchTable.endpoint_polynomials``).
 """
 
 from __future__ import annotations
@@ -53,7 +55,9 @@ class BchTable:
     integrate Baker's integrand exactly, and holds the bracket kernel of
     the layer-1 x layer-1 -> layer-2 block for the path prefix sums and,
     per control dimension, the layer-2 structure constants that pull
-    covectors back along a path (``bracket_rows``).
+    covectors back along a path (``bracket_rows``).  The path optimizer
+    keeps its endpoint polynomials here too, one per step count and
+    control dimension, so they live as long as the group.
     """
 
     def __init__(self, algebra: GradedAlgebra):
@@ -84,6 +88,9 @@ class BchTable:
         top = sum(algebra.layer_dims[:2])
         self.layer2 = BracketKernel(algebra.structure[:d1, :d1, d1:top])
         self._bracket_rows = {}
+        # per (m, d): the endpoint polynomial of m steps of d controls,
+        # which the path optimizer forms on first use
+        self.endpoint_polynomials = {}
 
     def bracket_rows(self, d):
         """The (d2, d1 d) matrix K[l, (i, k)] = c[i, k, l] / 2, cached per d.

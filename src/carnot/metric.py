@@ -9,20 +9,25 @@ subject to reaching the target: on groups of step >= 3 a short L-BFGS-B
 warm stage on energy plus a penalty on the endpoint misfit, then on every
 group Gauss-Newton projection onto the endpoint constraint and feasible
 SQP per row, whose stationary rows are the discrete normal extremals.
-The misfit's gradient and the endpoint's Jacobian are pulled back layer
-by layer: a covector with no content above layer 2 pulls back in closed
-form, against the layer-2 structure constants, and only the others go
-through the closed-form derivative of the product (``group.row_series``),
-so on a step-2 group none does.  A row with no feasible optimized start
+On a group of step <= 3 a path's endpoint is a polynomial of degree <= 3
+in its controls, whose coefficients are formed once per group, step
+count and control dimension; the endpoint, its Jacobian and the misfit's
+gradient are evaluated from them.  Elsewhere (step >= 4, or more than
+``POLY_CONTROLS`` controls) the misfit's gradient and the endpoint's
+Jacobian are pulled back layer by layer: a covector with no content
+above layer 2 pulls back in closed form, against the layer-2 structure
+constants, and only the others go through the closed-form derivative of
+the product (``group.row_series``).  A row with no feasible optimized start
 falls back to the straight segment plus its ladder closure.  Stopping is
 a rule per row: the closure moves only the rows still off their targets,
 and the solver has two optional rules (``_Stop``).  Given a radius a row
 stops as soon as it has a projected path no longer than it, which is all
 that ball membership asks.  Given a floor a row stops as soon as its
 energy certifies that it cannot reach the floor, which is all that a
-maximum over rows asks (``cc_upper_max``).  The path's
-prefix products are formed layer by layer: layers 1 and 2 telescope into
-prefix sums, higher layers come from one product call per block of steps.
+maximum over rows asks (``cc_upper_max``).  Where no polynomial
+serves, the path's prefix products are formed layer by layer: layers 1
+and 2 telescope into prefix sums, higher layers come from one product
+call per block of steps.
 
 Lower bounds come from the 1-Lipschitz abelianization quotient (exact)
 and from certified per-layer constants K_k with |layer_k| <= K_k d_cc^k
@@ -59,6 +64,17 @@ CHUNK = 32768
 # B = 300 and 2.42x at B = 1000; the endpoint Jacobian 0.98x, 1.01x,
 # 0.92x, 1.02x and 1.16x.
 BLOCK_ROWS = 512
+# Controls N = m d up to which the endpoint of a path on a group of step
+# <= 3 is its cached polynomial (``_EndpointPolynomial``); longer paths
+# take the fold.  A row of the polynomial costs O(N^3) on 3-layer groups
+# and O(N^2) on 2-layer ones, against the fold's O(N), and its
+# coefficients grow alike: a closure path of 841 moves would need GiBs.
+# The endpoint Jacobian, polynomial over fold, 1 BLAS thread, the two
+# alternating, at B = 200 and 768: Engel 0.39x and 0.63x at N = 24,
+# 0.71x and 1.10x at 32, 1.00x and 1.48x at 40; free2-4 0.62x at 32 and
+# 1.3x at 48; Heisenberg under 0.35x up to 48.  A 400-row Engel
+# ``cc_upper_batch`` at N = 32 took 0.84x the fold's time.
+POLY_CONTROLS = 32
 # The path optimizer: iterations of the warm penalty stage (groups of step
 # >= 3 only), the projection onto the endpoint constraint (tolerance
 # relative to 1 + |target|, and Gauss-Newton steps allowed), and the SQP's
@@ -565,7 +581,12 @@ def _prefix_endpoints(group, controls):
     """Prefix products z_0 = 0, ..., z_m of a (B, m, d) control stack.
 
     Returns (B, m + 1, n); the controls drive the first d coordinates of
-    the steps s_j.  The product is triangular in the layers, so each
+    the steps s_j.  The path solver forms endpoints with it only where
+    there is no cached polynomial (``_endpoint_polynomial``): on groups
+    of step >= 4 and above ``POLY_CONTROLS`` controls; it also serves the
+    Jacobians that the polynomial is read off.
+
+    The product is triangular in the layers, so each
     layer of every prefix can be formed from the layers below it: layer 1
     is the prefix sum of the s_{j,1}, layer 2 the telescoped sum of
     s_{j,2} + 1/2 [z_{j-1,1}, s_{j,1}], and layers >= 3 come from one
@@ -616,8 +637,17 @@ def _prefix_endpoints(group, controls):
 
 
 def path_endpoints_batch(group, controls):
-    """Endpoint coordinates for a (B, m, d) control stack from identity."""
-    return _prefix_endpoints(group, controls)[:, -1]
+    """Endpoint coordinates for a (B, m, d) control stack from identity.
+
+    Up to ``POLY_CONTROLS`` controls on a group of step <= 3 they are the
+    cached endpoint polynomial's (``_EndpointPolynomial``), with the bits
+    of the solver's endpoint; otherwise the last prefix product.
+    """
+    B, m, d = controls.shape
+    poly = _endpoint_polynomial(group, m, d)
+    if poly is None:
+        return _prefix_endpoints(group, controls)[:, -1]
+    return poly(controls.reshape(B, m * d))[0]
 
 
 def _pullback(group, z, controls, covectors, layered=0):
@@ -625,7 +655,9 @@ def _pullback(group, z, controls, covectors, layered=0):
 
     ``z`` holds the prefix products of the (B, m, d) ``controls``; an
     (r, n) stack of ``covectors`` serves every path.  Returns
-    (B, r, m * d), row k of path b being covectors[b, k] dz_m/du.
+    (B, r, m * d), row k of path b being covectors[b, k] dz_m/du.  The
+    path solver pulls back with it where ``_prefix_endpoints`` forms the
+    endpoint.
 
     The first ``layered`` covectors, and on a group of at most two layers
     every covector, have no content above layer 2.  Layers 1 and 2 of z_m
@@ -691,37 +723,162 @@ def _penalty_value_grad(group, gram, controls, targets, mu):
 
     ``gram`` is the metric on the controls, which drive the first
     ``gram.shape[0]`` coordinates of the steps s_j.  The misfit gradient
-    pulls cbar = 2 mu (z_m - target) back to the controls (``_pullback``):
-    in closed form on a group of at most two layers, through the series
-    above.
+    is cbar J for cbar = 2 mu (z_m - target), with the endpoint
+    polynomial's Jacobian where there is one (``_endpoint_polynomial``);
+    elsewhere cbar is pulled back to the controls (``_pullback``).
     """
-    z = _prefix_endpoints(group, controls)
+    B, m, d = controls.shape
+    poly = _endpoint_polynomial(group, m, d)
+    if poly is None:
+        z = _prefix_endpoints(group, controls)
+        end = z[:, -1]
+    else:
+        end, J = poly(controls.reshape(B, m * d))
     gu = controls @ gram
     energy = np.einsum("bmi,bmi->b", controls, gu)
-    diff = z[:, -1] - targets
+    diff = end - targets
     value = float(np.sum(energy) + mu * np.sum(diff * diff))
-    pulled = _pullback(group, z, controls, 2.0 * mu * diff[:, None])
+    cbar = 2.0 * mu * diff[:, None]
+    pulled = (_pullback(group, z, controls, cbar) if poly is None
+              else cbar @ J)
     return value, 2.0 * gu + pulled.reshape(controls.shape)
 
 
 def _endpoint_jacobian(group, controls):
     """Endpoints z_m (B, n) of a (B, m, d) control stack and J = dz_m/du.
 
-    J is (B, n, m * d): the pullback of each path's n unit covectors,
-    the rows of layers 1 and 2 in closed form and only the rows above
-    them through the series (``_pullback``).
+    J is (B, n, m * d).  Where the endpoint is a cached polynomial
+    (``_endpoint_polynomial``) both come from it; elsewhere from the fold
+    (``_fold_jacobian``).
+    """
+    B, m, d = controls.shape
+    poly = _endpoint_polynomial(group, m, d)
+    if poly is None:
+        return _fold_jacobian(group, controls)
+    return poly(controls.reshape(B, m * d))
+
+
+def _fold_jacobian(group, controls):
+    """``_endpoint_jacobian`` from the prefix products.
+
+    J is the pullback of each path's n unit covectors, the rows of layers
+    1 and 2 in closed form and only the rows above them through the
+    series (``_pullback``).
     """
     z = _prefix_endpoints(group, controls)
     return z[:, -1], _pullback(group, z, controls, np.eye(group.dim),
                                sum(group.algebra.layer_dims[:2]))
 
 
+class _EndpointPolynomial:
+    """The endpoint z_m of m steps of d controls on a group of step <= 3.
+
+    In exponential coordinates the group law is a polynomial and a
+    bracket of k steps lies in layers >= k, so on a group of step <= 3
+    z_m = z_1 + z_2 + z_3, with z_k homogeneous of degree k in the
+    N = m d controls u and 0 below layer k.  Its Jacobian is split by
+    degree, J(u) = J0 + L u + Q (u x u), and Euler's identity
+    J_k(u) u = k z_k(u) gives
+
+        z_m = J0 u + 1/2 (L u) u + 1/3 (Q (u x u)) u.
+
+    The coefficients are read off the fold's exact Jacobian
+    (``_fold_jacobian``) by polarization, in one batched call at 0, at
+    +-e_a and, with a layer 3, at e_a + e_b (a < b):
+    L e_a = (J(e_a) - J(-e_a)) / 2, Q(e_a, e_a) = (J(e_a) + J(-e_a)) / 2
+    - J0 and 2 Q(e_a, e_b) = J(e_a + e_b) - J(e_a) - J(e_b) + J0.  L keeps
+    the rows from layer 2 up, (n - d1) N^2 floats, and Q those of layer 3
+    on the pairs a <= b where it is not 0, at most d3 N^2 (N + 1) / 2
+    floats (Engel: 222 of 300 pairs at N = 24 with horizontal controls).
+
+    A call evaluates it on a (B, N) stack by stacked one-row matmuls,
+    each row a BLAS call of its own, so a row's bits do not depend on the
+    other rows of its batch; one GEMM over the batch gave some rows
+    other bits in other batches.
+    """
+
+    def __init__(self, group, m, d):
+        dims = group.algebra.layer_dims
+        n, N = group.dim, m * d
+        self.n, self.low, self.top = n, dims[0], sum(dims[:2])
+        eye = np.eye(N)
+        a, b = np.triu_indices(N, 1)
+        points = [np.zeros((1, N)), eye, -eye]
+        if self.top < n:
+            points.append(eye[a] + eye[b])
+        J = _fold_jacobian(group, np.concatenate(points).reshape(-1, m, d))[1]
+        J0, plus, minus = J[0], J[1:N + 1], J[N + 1:2 * N + 1]
+        self.J0, self.J0t = J0, np.ascontiguousarray(J0.T)
+        # row a of ``linear`` is L e_a, so u @ linear is L u
+        self.linear = (0.5 * (plus - minus)[:, self.low:]).reshape(N, -1)
+        if self.top < n:
+            # row k of ``cubic`` is Q(e_a, e_b) for the k-th pair a <= b,
+            # twice over where a < b, so (u_a u_b)_k @ cubic is Q (u x u);
+            # the pairs where it is 0 are dropped
+            diag = 0.5 * (plus + minus) - J0
+            off = J[2 * N + 1:] - plus[a] - plus[b] + J0
+            q = np.concatenate([diag, off])[:, self.top:].reshape(
+                len(diag) + len(off), -1)
+            keep = np.flatnonzero(np.any(q != 0, axis=1))
+            self.pairs = (np.concatenate([np.arange(N), a])[keep],
+                          np.concatenate([np.arange(N), b])[keep])
+            self.cubic = q[keep]
+
+    def __call__(self, u):
+        """(z_m, J) at a (B, N) control stack: (B, n) and (B, n, N)."""
+        # every stacked operand C-contiguous, so that each row takes the
+        # same BLAS call in every batch
+        u = np.ascontiguousarray(u)
+        B, N = u.shape
+        n, low, top = self.n, self.low, self.top
+        row, col = u[:, None], u[:, :, None]
+        z = (row @ self.J0t)[:, 0]
+        J = np.empty((B, n, N))
+        J[:] = self.J0
+        lin = (row @ self.linear).reshape(B, n - low, N)
+        J[:, low:] += lin
+        z[:, low:] += 0.5 * (lin @ col)[..., 0]
+        if top < n:
+            # ``np.take`` keeps the rows contiguous, where u[:, pairs] may not
+            uu = np.take(u, self.pairs[0], axis=1) * np.take(u, self.pairs[1],
+                                                            axis=1)
+            cub = (uu[:, None] @ self.cubic).reshape(B, n - top, N)
+            J[:, top:] += cub
+            z[:, top:] += (cub @ col)[..., 0] / 3.0
+        return z, J
+
+
+def _endpoint_polynomial(group, m, d):
+    """The ``_EndpointPolynomial`` of m steps of d controls, or None.
+
+    It is formed once per group table and (m, d).  None where the fold
+    forms the endpoint: on groups of step >= 4 and above
+    ``POLY_CONTROLS`` controls.
+    """
+    if group.algebra.num_layers > 3 or m * d > POLY_CONTROLS:
+        return None
+    cache = group.table.endpoint_polynomials
+    if (m, d) not in cache:
+        cache[m, d] = _EndpointPolynomial(group, m, d)
+    return cache[m, d]
+
+
 def _solve(a, b):
-    """Batched a x = b for (B, k, k) a and (B, k) b; pinv if one is singular."""
+    """Batched a x = b for (B, k, k) a and (B, k) b.
+
+    A row whose a is singular takes pinv; the others keep the bits that
+    ``np.linalg.solve`` gives them alone.
+    """
     try:
         return np.linalg.solve(a, b[..., None])[..., 0]
     except np.linalg.LinAlgError:
-        return np.einsum("bij,bj->bi", np.linalg.pinv(a), b)
+        out = np.empty_like(b)
+        for i in range(len(b)):
+            try:
+                out[i] = np.linalg.solve(a[i], b[i, :, None])[:, 0]
+            except np.linalg.LinAlgError:
+                out[i] = np.linalg.pinv(a[i]) @ b[i]
+        return out
 
 
 def _project(group, controls, targets, tol, steps):
@@ -1194,8 +1351,10 @@ def cc_upper_max(space: CCSpace, targets, budget=None, seed=0):
     ``targets`` is (cells, k, n).  Returns (upper, floored): ``upper``
     (cells,) is ``cc_upper_batch`` on the flattened batch, reshaped to
     (cells, k) and maximized over axis 1.  It has the same bits on groups
-    of step 2; on 3-layer groups the block size of the prefix products
-    follows the live rows (``BLOCK_ROWS``), which moves it by roundoff.
+    of step 2.  On 3-layer groups the joint warm stage couples the rows
+    of the flattened batch in both, and above ``POLY_CONTROLS`` controls
+    the block size of the prefix products follows the live rows
+    (``BLOCK_ROWS``), which moves it by roundoff.
     ``floored`` (cells, k) marks the rows a floor stopped.  Raises
     OptimizerFailure where ``cc_upper_batch`` does, with the flattened
     batch's residuals.

@@ -531,6 +531,68 @@ def test_pullback_layers_match_series(case, filiform, rng):
     check(grad, 2.0 * controls + pulled.reshape(controls.shape))
 
 
+POLYNOMIAL_GROUPS = ["heisenberg", "engel", "abelian3", "free2-3"]
+
+
+@pytest.mark.parametrize("name", POLYNOMIAL_GROUPS)
+@pytest.mark.parametrize("full", [False, True], ids=["horizontal", "full"])
+def test_endpoint_polynomial_matches_the_fold_at_the_cap(name, full, rng):
+    # just under the cap the cached polynomial gives the endpoint and its
+    # Jacobian; it matches the prefix products and the series oracle.
+    # One step more and path_endpoints_batch takes the fold.
+    group = CarnotGroup(catalog.get(name))
+    n = group.dim
+    d = n if full else group.algebra.layer_dims[0]
+    m = metric.POLY_CONTROLS // d
+    controls = 0.5 * rng.standard_normal((3, m, d))
+    end, jac = _endpoint_jacobian(group, controls)
+    assert (m, d) in group.table.endpoint_polynomials
+    np.testing.assert_array_equal(end, path_endpoints_batch(group, controls))
+
+    def check(got, want):
+        np.testing.assert_allclose(got, want, rtol=0,
+                                   atol=1e-13 * np.max(np.abs(want)))
+
+    check(end, _prefix_endpoints(group, controls)[:, -1])
+    check(jac, _series_pullback(group, controls,
+                                np.broadcast_to(np.eye(n), (3, n, n))))
+    longer = 0.5 * rng.standard_normal((3, m + 1, d))
+    np.testing.assert_array_equal(path_endpoints_batch(group, longer),
+                                  _prefix_endpoints(group, longer)[:, -1])
+    assert (m + 1, d) not in group.table.endpoint_polynomials
+
+
+@pytest.mark.parametrize("name", POLYNOMIAL_GROUPS)
+@pytest.mark.parametrize("full", [False, True], ids=["horizontal", "full"])
+def test_endpoint_rows_ignore_their_batch_mates(name, full, rng):
+    # a row's endpoint and Jacobian alone have the bits they have inside
+    # a 37-row batch, at the solver's step counts and at the cap
+    group = CarnotGroup(catalog.get(name))
+    d = group.dim if full else group.algebra.layer_dims[0]
+    cap = metric.POLY_CONTROLS // d
+    for m in sorted({m for m in (8, 12) if m <= cap} | {cap}):
+        controls = rng.standard_normal((37, m, d))
+        end, jac = _endpoint_jacobian(group, controls)
+        for b in range(37):
+            one_end, one_jac = _endpoint_jacobian(group, controls[b:b + 1])
+            np.testing.assert_array_equal(one_end[0], end[b])
+            np.testing.assert_array_equal(one_jac[0], jac[b])
+            np.testing.assert_array_equal(
+                path_endpoints_batch(group, controls[b:b + 1])[0], end[b])
+
+
+def test_singular_row_leaves_the_other_rows_bits(rng):
+    # one all-zero matrix takes the pseudo-inverse; every other row keeps
+    # the bits np.linalg.solve gives it alone
+    a = rng.standard_normal((5, 3, 3))
+    a[2] = 0.0
+    b = rng.standard_normal((5, 3))
+    x = metric._solve(a, b)
+    for i in (0, 1, 3, 4):
+        np.testing.assert_array_equal(x[i], np.linalg.solve(a[i], b[i]))
+    np.testing.assert_array_equal(x[2], np.zeros(3))
+
+
 def test_optimized_controls_meet_pontryagin_condition(heis):
     # stationary rows are discrete normal extremals: 2 G u + J^T lam = 0
     # for the least-squares multiplier lam of the endpoint constraint
