@@ -498,11 +498,14 @@ def close_defect_batch(space: CCSpace, endpoints, targets, collect=False):
     the ordered list of appended (B, d1) control displacements (only if
     ``collect``).  A row is moved only while its residual exceeds
     ``EXACT_TOL`` (1 + |target|), for at most 60 passes: a row that
-    meets it leaves with its residual and no added length, and its
-    segments are zero from then on.  Moves are folded through the exact
-    group product, so the remaining residual contracts superlinearly;
-    for groups of step <= 3 a single pass is already exact up to
-    roundoff.
+    meets it leaves with its residual and no added length, a row whose
+    residual a pass did not shrink leaves after that pass, and the
+    segments of a row that left are zero.  Moves are folded through the
+    exact group product, so the remaining residual contracts
+    superlinearly; for groups of step <= 3 a single pass is already exact
+    up to roundoff, and a residual that stops shrinking is roundoff or a
+    closure that cannot converge at the point's scale
+    (``_straight_ladder`` retries such a point at unit norm).
     """
     group = space.group
     algebra = space.algebra
@@ -540,6 +543,7 @@ def close_defect_batch(space: CCSpace, endpoints, targets, collect=False):
             moves.extend(controls)
         # the end-of-pass defect is the next pass's layer-1 move
         left = group.bch(-ends, tg)
+        before = residual[live]
         if every:
             endpoints, defect = ends, left
             residual = _unsquared(_euclid, left)
@@ -552,7 +556,8 @@ def close_defect_batch(space: CCSpace, endpoints, targets, collect=False):
             for u in moves:
                 segs.append(np.zeros((B, space.d1)))
                 segs[-1][live] = u
-        live = live[residual[live] > off[live]]
+        now = residual[live]
+        live = live[(now > off[live]) & (now < before)]
     return extra, endpoints, residual, segs
 
 
@@ -737,7 +742,7 @@ def _penalty_value_grad(group, gram, controls, targets, mu):
     gu = controls @ gram
     energy = np.einsum("bmi,bmi->b", controls, gu)
     diff = end - targets
-    value = float(np.sum(energy) + mu * np.sum(diff * diff))
+    value = float(energy.sum() + mu * (diff * diff).sum())
     cbar = 2.0 * mu * diff[:, None]
     pulled = (_pullback(group, z, controls, cbar) if poly is None
               else cbar @ J)
@@ -839,9 +844,11 @@ class _EndpointPolynomial:
         J[:, low:] += lin
         z[:, low:] += 0.5 * (lin @ col)[..., 0]
         if top < n:
-            # ``np.take`` keeps the rows contiguous, where u[:, pairs] may not
-            uu = np.take(u, self.pairs[0], axis=1) * np.take(u, self.pairs[1],
-                                                            axis=1)
+            # ``take`` keeps the rows contiguous, where u[:, pairs] may not;
+            # unchecked ("clip"), since the pairs are valid columns
+            first, second = self.pairs
+            uu = (u.take(first, axis=1, mode="clip")
+                  * u.take(second, axis=1, mode="clip"))
             cub = (uu[:, None] @ self.cubic).reshape(B, n - top, N)
             J[:, top:] += cub
             z[:, top:] += (cub @ col)[..., 0] / 3.0
@@ -887,25 +894,39 @@ def _project(group, controls, targets, tol, steps):
     ``controls`` is (B, m, d); a row takes at most ``steps`` steps and
     stops once |c| <= tol.  Returns (controls, c, J, ok): c = z_m - target
     and J at the returned controls, and the rows that met ``tol``.
+
+    The working arrays hold only the rows still stepping.  A row leaves
+    them, scattered to the returned arrays, when it meets ``tol``, when
+    its residual is not finite or after its last step; when every row
+    leaves at once the working arrays are returned as they are.
     """
     B, m, d = controls.shape
     u = controls.reshape(B, m * d).copy()
-    c = np.empty(targets.shape)
-    J = np.empty(targets.shape + (m * d,))
-    ok = np.zeros(B, dtype=bool)
-    live = np.arange(B)
+    out = None  # the returned arrays, made at the first partial leave
+    rows = np.arange(B)
     for k in range(steps + 1):
-        z, J[live] = _endpoint_jacobian(group, u[live].reshape(-1, m, d))
-        c[live] = z - targets[live]
-        res = np.linalg.norm(c[live], axis=-1)
-        met = res <= tol[live]
-        ok[live[met]] = True
-        live = live[~met & np.isfinite(res)]
-        if k == steps or not len(live):
-            break
-        Jl = J[live]
-        u[live] -= np.einsum("bij,bi->bj", Jl,
-                             _solve(Jl @ Jl.transpose(0, 2, 1), c[live]))
+        z, J = _endpoint_jacobian(group, u.reshape(-1, m, d))
+        c = z - targets
+        res = np.sqrt((c * c).sum(axis=-1))
+        met = res <= tol
+        go = ~met & np.isfinite(res) if k < steps else np.zeros_like(met)
+        if out is None and not go.any():
+            return u.reshape(B, m, d), c, J, met
+        if not go.all():
+            if out is None:
+                out = (np.empty(u.shape), np.empty(c.shape),
+                       np.empty(J.shape), np.zeros(B, dtype=bool))
+            done = ~go
+            left = rows[done]
+            for a, v in zip(out, (u, c, J, met)):
+                a[left] = v[done]
+            if not go.any():
+                break
+            rows, u, c, J, targets, tol = (a[go] for a in
+                                           (rows, u, c, J, targets, tol))
+        u = u - np.einsum("bij,bi->bj", J,
+                          _solve(J @ J.transpose(0, 2, 1), c))
+    u, c, J, ok = out
     return u.reshape(B, m, d), c, J, ok
 
 
@@ -921,15 +942,17 @@ def _bfgs_inverse_update(M, s, y):
     yMy = np.einsum("bi,bi->b", y, My)
     sy = np.einsum("bi,bi->b", s, y)
     damp = sy < 0.2 * yMy
-    theta = np.ones_like(sy)
-    theta[damp] = 0.8 * yMy[damp] / (yMy[damp] - sy[damp])
-    s = theta[:, None] * s + (1.0 - theta[:, None]) * My
-    sy = theta * sy + (1.0 - theta) * yMy
+    if damp.any():  # elsewhere theta = 1 leaves s and sy as they are
+        theta = np.ones_like(sy)
+        theta[damp] = 0.8 * yMy[damp] / (yMy[damp] - sy[damp])
+        s = theta[:, None] * s + (1.0 - theta[:, None]) * My
+        sy = theta * sy + (1.0 - theta) * yMy
     rho = np.zeros_like(sy)
     np.divide(1.0, sy, out=rho, where=sy > 0)
+    rMy = rho[:, None] * My
     M += s[:, :, None] * ((rho * rho * yMy + rho)[:, None] * s
-                          - rho[:, None] * My)[:, None, :]
-    M -= (rho[:, None] * My)[:, :, None] * s[:, None, :]
+                          - rMy)[:, None, :]
+    M -= rMy[:, :, None] * s[:, None, :]
 
 
 class _Stop:
@@ -985,8 +1008,15 @@ def _sqp(group, gram, targets, tol, controls, c, J, max_iter, stop=None):
     row stops, keeping its last feasible iterate, once its predicted
     decrease -g^T p is at most ``DECREASE_TOL`` (1 + E), when no trial is
     accepted, after ``max_iter`` iterations, or once a rule of ``stop``
-    (``_Stop``, a rule per row of the batch) stops its iterate; the
-    stopped rows leave the working arrays.
+    (``_Stop``, a rule per row of the batch) stops its iterate.
+
+    The working arrays hold only the rows still iterating; a stopped row
+    leaves them, scattered to the returned controls, and when every row
+    stops at once the last iterates are returned as they are.  An
+    iteration in which every row accepts its first trial (alpha = 1, the
+    usual case) takes the trial's controls, residuals, Jacobians, energies
+    and energy gradients as they come, with no copy; only a partial
+    acceptance copies the iterates and scatters the accepted trials in.
     """
     B, m, d = controls.shape
     N = m * d
@@ -995,7 +1025,7 @@ def _sqp(group, gram, targets, tol, controls, c, J, max_iter, stop=None):
         gv = (v.reshape(-1, m, d) @ gram).reshape(-1, N)
         return np.einsum("bi,bi->b", v, gv), 2.0 * gv
 
-    out = controls.copy()
+    out = None  # the returned controls, made at the first partial stop
     rows = np.arange(B)
     u = controls.reshape(B, N)
     E, g = energy_grad(u)
@@ -1005,38 +1035,53 @@ def _sqp(group, gram, targets, tol, controls, c, J, max_iter, stop=None):
         MJt = M @ J.transpose(0, 2, 1)
         Mg = np.einsum("bij,bj->bi", M, g)
         lam = _solve(J @ MJt, c - np.einsum("bij,bj->bi", J, Mg))
-        p = -(Mg + np.einsum("bij,bj->bi", MJt, lam))
-        dec = -np.einsum("bi,bi->b", g, p)
+        # the step is p = -q, and the predicted decrease -g^T p is g^T q
+        q = Mg + np.einsum("bij,bj->bi", MJt, lam)
+        dec = np.einsum("bi,bi->b", g, q)
         trying = np.flatnonzero(dec > DECREASE_TOL * (1.0 + E))
-        un, cn, Jn, En = u.copy(), c.copy(), J.copy(), E.copy()
+        # (u, c, J, E, g) after the line search; rows that did not move
+        # keep theirs, and stop below
+        new = None
         moved = np.zeros(len(u), dtype=bool)
         for h in range(HALVINGS + 1):
             if not len(trying):
                 break
             alpha = 0.5 ** h
+            every = len(trying) == len(u)
+            t = slice(None) if every else trying
             tu, tc, tJ, ok = _project(
-                group, (u[trying] + alpha * p[trying]).reshape(-1, m, d),
-                targets[rows[trying]], tol[trying], TRIAL_STEPS)
+                group, (u[t] - alpha * q[t]).reshape(-1, m, d), targets[t],
+                tol[t], TRIAL_STEPS)
             tu = tu.reshape(-1, N)
-            tE = energy_grad(tu)[0]
-            ok &= tE <= E[trying] - ARMIJO * alpha * dec[trying]
+            tE, tg = energy_grad(tu)
+            ok &= tE <= E[t] - ARMIJO * alpha * dec[t]
+            if every and ok.all():
+                new = tu, tc, tJ, tE, tg
+                moved[:] = True
+                break
+            if new is None:
+                new = tuple(a.copy() for a in (u, c, J, E, g))
             hit = trying[ok]
-            un[hit], cn[hit], Jn[hit], En[hit] = tu[ok], tc[ok], tJ[ok], tE[ok]
+            for a, v in zip(new, (tu, tc, tJ, tE, tg)):
+                a[hit] = v[ok]
             moved[hit] = True
             trying = trying[~ok]
-        # un is u on the rows that did not move; every row but the moved
-        # ones before the cap stops here
+        un, cn, Jn, En, gn = (u, c, J, E, g) if new is None else new
+        # every row but the moved ones before the cap stops here
         keep = moved if it + 1 < max_iter else np.zeros_like(moved)
         if stop is not None:
             keep &= ~stop(gram, un.reshape(-1, m, d), keep, rows)
-        out[rows[~keep]] = un[~keep].reshape(-1, m, d)
-        if not np.any(keep):
-            break
-        if not np.all(keep):
-            rows, tol, M, lam = rows[keep], tol[keep], M[keep], lam[keep]
-            u, g, J, un, cn, Jn, En = (a[keep] for a in
-                                       (u, g, J, un, cn, Jn, En))
-        gn = energy_grad(un)[1]
+        if out is None and not keep.any():
+            return un.reshape(B, m, d)
+        if not keep.all():
+            if out is None:
+                out = np.empty((B, m, d))
+            out[rows[~keep]] = un[~keep].reshape(-1, m, d)
+            if not keep.any():
+                break
+            rows, targets, tol, M, lam, u, g, J, un, cn, Jn, En, gn = (
+                a[keep] for a in
+                (rows, targets, tol, M, lam, u, g, J, un, cn, Jn, En, gn))
         y = gn - g + np.einsum("bij,bi->bj", Jn - J, lam)
         _bfgs_inverse_update(M, un - u, y)
         u, c, J, E, g = un, cn, Jn, En, gn

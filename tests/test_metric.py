@@ -593,6 +593,33 @@ def test_singular_row_leaves_the_other_rows_bits(rng):
     np.testing.assert_array_equal(x[2], np.zeros(3))
 
 
+@pytest.mark.parametrize("name", ["heisenberg", "engel"])
+def test_projection_rows_ignore_their_batch_mates(name):
+    # rows that leave the projection at different steps: on the target at
+    # the start, after 1, 2 and 4-5 Gauss-Newton steps, never within the
+    # steps (a zero tolerance) and at once with a non-finite residual;
+    # each gets the bits that the projection gives it alone
+    rng = np.random.default_rng(50)
+    group = CarnotGroup(catalog.get(name))
+    m, d, steps = 8, group.algebra.layer_dims[0], 6
+    exact = rng.standard_normal((6, m, d))
+    targets = path_endpoints_batch(group, exact)
+    size = np.array([0.0, 1e-7, 1e-3, 0.3, 0.3, 0.0])
+    controls = exact + size[:, None, None] * rng.standard_normal(exact.shape)
+    controls[5, 2] = np.nan
+    tol = metric.PROJECT_TOL * (1.0 + np.linalg.norm(targets, axis=-1))
+    tol[4] = 0.0
+    batch = metric._project(group, controls, targets, tol, steps)
+    assert batch[3].tolist() == [True] * 4 + [False] * 2
+    assert np.all(np.isfinite(batch[1][4])) and np.isnan(batch[1][5, 0])
+    for b in range(6):
+        alone = metric._project(group, controls[b:b + 1], targets[b:b + 1],
+                                tol[b:b + 1], steps)
+        assert not np.shares_memory(alone[0], controls)
+        for got, want in zip(batch, alone):
+            np.testing.assert_array_equal(got[b], want[0])
+
+
 def test_optimized_controls_meet_pontryagin_condition(heis):
     # stationary rows are discrete normal extremals: 2 G u + J^T lam = 0
     # for the least-squares multiplier lam of the endpoint constraint
@@ -958,3 +985,19 @@ def test_straight_segment_missing_at_its_scale_gets_its_bound(engel_space):
     assert lengths == pytest.approx(upper, rel=1e-12)
     scale = engel_space.homogeneous_norm(points)[:, None] ** [1, 1, 2, 3]
     assert np.allclose(end / scale, points / scale, atol=1e-9)
+
+
+def test_closure_leaves_a_row_whose_residual_stops_shrinking(engel_space):
+    # at its own scale the closure of (3e60, 4e60, 1e100, 1e150) misses by
+    # roundoff near 1e156: the row leaves after the first pass that does
+    # not shrink its residual, not after all 60 passes (841 moves), and the
+    # retry at unit homogeneous norm still bounds it by 5e60
+    point = np.array([[3e60, 4e60, 1e100, 1e150]])
+    start = engel_space.embed_horizontal(point[:, :2])
+    _, _, res, segs = close_defect_batch(engel_space, start, point,
+                                         collect=True)
+    assert res[0] > 1e150 and len(segs) < 100
+    upper, res, path = metric._straight_ladder(engel_space, point,
+                                               collect=True)
+    assert upper[0] == pytest.approx(5e60, rel=1e-12) and res[0] <= 1e-9
+    assert path.shape[1] < 100
