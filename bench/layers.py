@@ -18,13 +18,17 @@ Cases, at the ``engel-distance`` budget (12 segments, 2 starts,
   2 controls, at B = 2, 200 and 768 rows of 0.5 x standard-normal controls;
 - ``project/<group>/B<B>``: one 4-step Gauss-Newton projection at B = 2
   and 200, from standard-normal controls onto the endpoints of others;
+- ``cheap/<group>/B<B>``: ``certified_upper_cheap`` on B = 20, 256 and
+  1000 points, 0.5 x standard-normal (generator seed 2);
 - ``engel-call``: ``cc_upper_batch`` on stored Engel target 0, seed 0;
 - ``engel-400``: ``cc_upper_batch`` on 200 standard-normal Engel targets
   (generator seed 7), solver seed 5, 400 rows with the two starts;
 - ``heis-membership-200``: ``cc_upper_batch`` on 200 standard-normal
   Heisenberg targets (generator seed 8) at ``MEMBERSHIP_BUDGET``, seed 9;
 - ``engel-volume-10k``: certified Engel ``ball_volume(r=1, 10000
-  samples, seed 0)``.
+  samples, seed 0)``;
+- ``cheap/engel-far``: ``certified_upper_cheap`` on the Engel point
+  (3e60, 4e60, 1e100, 1e150).
 """
 
 import os
@@ -72,8 +76,8 @@ def cases(tree, tiny):
     catalog, metric, measure = tree["catalog"], tree["metric"], tree["measure"]
     group = {name: tree["group"].CarnotGroup(catalog.get(name))
              for name in ("heisenberg", "engel")}
-    heis = metric.CCSpace(group["heisenberg"])
-    engel = metric.CCSpace(group["engel"])
+    spaces = {name: metric.CCSpace(g) for name, g in group.items()}
+    heis, engel = spaces["heisenberg"], spaces["engel"]
     budget = metric.OptimizerBudget(segments=12, starts=2, max_iter=30)
     m, d = 12, 2
     out = []
@@ -98,6 +102,14 @@ def cases(tree, tiny):
                 return rounded([np.sum(ok), np.sum(np.abs(c))])
 
             out.append((f"project/{name}/B{B}", calls, project))
+        for B in (20,) if tiny else (20, 256, 1000):
+            points = 0.5 * np.random.default_rng(2).standard_normal(
+                (B, g.dim))
+            calls = 1 if tiny else max(1, 2000 // B)
+            out.append((f"cheap/{name}/B{B}", calls,
+                        lambda space=spaces[name], points=points: rounded(
+                            np.sum(metric.certified_upper_cheap(space,
+                                                                points)))))
     stored = np.array(json.loads(ENGEL_REFERENCE.read_text())["targets"])
     rows = 2 if tiny else 200
     engel_targets = np.random.default_rng(7).standard_normal((rows, 4))
@@ -116,6 +128,9 @@ def cases(tree, tiny):
         (f"engel-volume-{'200' if tiny else '10k'}", 1, lambda: rounded(
             measure.ball_volume(engel, None, 1.0, 200 if tiny else 10000,
                                 seed=0).volume)),
+        ("cheap/engel-far", 1 if tiny else 100, lambda: rounded(
+            metric.certified_upper_cheap(engel,
+                                         [[3e60, 4e60, 1e100, 1e150]]))),
     ]
     return out
 

@@ -18,16 +18,18 @@ Jacobian are pulled back layer by layer: a covector with no content
 above layer 2 pulls back in closed form, against the layer-2 structure
 constants, and only the others go through the closed-form derivative of
 the product (``group.row_series``).  A row with no feasible optimized start
-falls back to the straight segment plus its ladder closure.  Stopping is
-a rule per row: the closure moves only the rows still off their targets,
-and the solver has two optional rules (``_Stop``).  Given a radius a row
-stops as soon as it has a projected path no longer than it, which is all
-that ball membership asks.  Given a floor a row stops as soon as its
-energy certifies that it cannot reach the floor, which is all that a
-maximum over rows asks (``cc_upper_max``).  Where no polynomial
-serves, the path's prefix products are formed layer by layer: layers 1
-and 2 telescope into prefix sums, higher layers come from one product
-call per block of steps.
+falls back to the straight segment plus its ladder closure.  Every
+candidate path, optimized or straight, is bounded at unit homogeneous
+norm, through one certify step (``_certify``), and dilated back.
+Stopping is a rule per row: the closure moves only the rows still off
+their targets, and the solver has two optional rules (``_Stop``).  Given
+a radius a row stops as soon as it has a projected path no longer than
+it, which is all that ball membership asks.  Given a floor a row stops
+as soon as its energy certifies that it cannot reach the floor, which is
+all that a maximum over rows asks (``cc_upper_max``).  Where no
+polynomial serves, the path's prefix products are formed layer by
+layer: layers 1 and 2 telescope into prefix sums, higher layers come
+from one product call per block of steps.
 
 Lower bounds come from the 1-Lipschitz abelianization quotient (exact)
 and from certified per-layer constants K_k with |layer_k| <= K_k d_cc^k
@@ -55,6 +57,9 @@ from .group import CarnotGroup, row_series
 
 # Coordinate residual below which an endpoint counts as exact.
 EXACT_TOL = 1e-12
+# Closed residual, relative to 1 + |target| at unit homogeneous norm, up to
+# which a candidate path is accepted (``_certify``).
+ACCEPT_TOL = 1e-9
 # Targets optimized together in one batch.
 CHUNK = 32768
 # Rows of one ``bch`` call forming the prefix products of a 3-layer
@@ -92,7 +97,7 @@ DECREASE_TOL = 1e-14
 # Ratio and ceiling share their numerator, and a computed upper bound may
 # read below an exact lower bound (|z_1| on the abelian group, where every
 # ceiling is 1) by roundoff or by the residual a path is accepted at,
-# 1e-9 (1 + |target|) at unit scale.
+# ``ACCEPT_TOL`` (1 + |target|) at unit homogeneous norm.
 CEILING_SLACK = 1e-8
 
 
@@ -504,8 +509,8 @@ def close_defect_batch(space: CCSpace, endpoints, targets, collect=False):
     exact group product, so the remaining residual contracts
     superlinearly; for groups of step <= 3 a single pass is already exact
     up to roundoff, and a residual that stops shrinking is roundoff or a
-    closure that cannot converge at the point's scale
-    (``_straight_ladder`` retries such a point at unit norm).
+    closure that cannot converge at the point's scale; ``_certify``
+    closes every path at unit homogeneous norm.
     """
     group = space.group
     algebra = space.algebra
@@ -1174,12 +1179,9 @@ class _Starts:
 
 
 def _dilated_to_unit(space: CCSpace, points, scales, rows):
-    """``points`` with the rows ``rows`` dilated by 1 / ``scales``."""
-    weights = np.ones_like(points)
-    weights[rows] = (
-        1.0 / scales[rows, None]
-    ) ** space.algebra.layer_of.astype(float)[None, :]
-    return points * weights
+    """``points`` with the masked ``rows`` dilated by 1 / ``scales``."""
+    inv = 1.0 / np.where(rows, scales, 1.0)
+    return points * inv[:, None] ** space.algebra.layer_of.astype(float)
 
 
 def _draw_starts(space: CCSpace, targets, budget, seed):
@@ -1210,16 +1212,35 @@ def _draw_starts(space: CCSpace, targets, budget, seed):
     return _Starts(targets, scales, unit, chunks, budget)
 
 
+def _certify(space: CCSpace, paths, ends, targets, collect):
+    """Bound candidate paths by their length plus their ladder closure's.
+
+    ``paths`` (B, k, d1) are unit-duration control displacements ending at
+    ``ends``, and ``targets`` are at unit homogeneous norm or 0.  A row's
+    bound is inf unless its closed residual is finite and within
+    ``ACCEPT_TOL`` (1 + |target|).  Returns (upper, residual, closed),
+    ``closed`` the paths followed by their closures if ``collect``.
+    """
+    extra, _, res, segs = close_defect_batch(space, ends, targets, collect)
+    upper = np.sum(space.metric.norm(paths), axis=-1) + extra
+    accept = np.isfinite(res) & (res <= ACCEPT_TOL * (1.0 + _euclid(targets)))
+    upper[~accept] = np.inf
+    if not collect:
+        return upper, res, None
+    return upper, res, np.concatenate([paths] + [u[:, None] for u in segs],
+                                      axis=1)
+
+
 def _bound_rows(space: CCSpace, starts: _Starts, chunk, pick=slice(None),
                 radius=None, floor=None):
     """Bound the rows ``pick`` of chunk ``chunk`` of ``starts`` in one batch.
 
-    Per row the shortest start whose ladder closure is feasible is kept;
-    a row with no feasible start gets the straight segment plus its
+    Per row the shortest start that ``_certify`` accepts at unit norm is
+    kept; a row with no accepted start gets the straight segment plus its
     ladder closure instead (``certified_upper_cheap``).  Returns (upper,
     residual, kept, floored) for those rows: ``upper`` is the kept path's
-    length, inf where even that is infeasible, ``kept`` the kept paths as
-    unit-duration control displacements, (len(rows), k, d1), and
+    length, inf where even that is not accepted, ``kept`` the kept paths
+    as unit-duration control displacements, (len(rows), k, d1), and
     ``floored`` the rows with a start that the ``floor`` (one per row)
     stopped, whose bound is then certified below the floor (``_Stop``).
     On a group of step 2 a row's bound does not depend on the other rows;
@@ -1238,21 +1259,15 @@ def _bound_rows(space: CCSpace, starts: _Starts, chunk, pick=slice(None),
     controls = _optimize_controls(
         space.group, space.metric.gram, stacked,
         inits.reshape(S * b, budget.segments, -1), budget, stop)
-    endpoint = path_endpoints_batch(space.group, controls)
-    lengths = np.sum(space.metric.norm(controls), axis=-1)
-    extra, _, res, segs = close_defect_batch(space, endpoint, stacked,
-                                             collect=True)
-    total = (lengths + extra).reshape(S, b)
-    res = res.reshape(S, b)
-    total = np.where(res <= 1e-9 * (1 + np.linalg.norm(tg, axis=-1)),
-                     total, np.inf)
+    ends = path_endpoints_batch(space.group, controls)
+    total, res, closed = _certify(space, controls, ends, stacked, True)
+    total, res = total.reshape(S, b), res.reshape(S, b)
     best = np.argmin(total, axis=0)
     cols = np.arange(b)
     upper = total[best, cols] * scales
     residual = res[best, cols]
-    kept = [controls.reshape(S, b, budget.segments, -1)[best, cols]]
-    kept += [u.reshape(S, b, 1, -1)[best, cols] for u in segs]
-    kept = scales[:, None, None] * np.concatenate(kept, axis=1)
+    kept = closed.reshape(S, b, -1, space.d1)[best, cols]
+    kept = scales[:, None, None] * kept
     failed = ~np.isfinite(upper)
     if np.any(failed):
         upper[failed], residual[failed], straight = _straight_ladder(
@@ -1300,52 +1315,26 @@ def _merged(paths, rows, more):
     return out
 
 
-def _closed(space: CCSpace, points, scales, unit, collect):
-    """``_straight_ladder`` with the rows ``unit`` bounded at unit norm."""
-    if np.any(unit):
-        points = _dilated_to_unit(space, points, scales, unit)
-    dilation = np.where(unit, scales, 1.0)
-    u1 = points[:, : space.d1]
-    start = space.embed_horizontal(u1)
-    extra, _, res, segs = close_defect_batch(space, start, points,
-                                             collect=collect)
-    upper = (_unsquared(space.metric.norm, u1) + extra) * dilation
-    missed = res > 1e-9 * (1 + _unsquared(_euclid, points))
-    upper[missed | ~np.isfinite(res)] = np.inf
-    if not collect:
-        return upper, res, None
-    return upper, res, dilation[:, None, None] * np.stack([u1] + segs, axis=1)
-
-
 def _straight_ladder(space: CCSpace, points, collect=False):
     """The straight segment to each point plus its ladder closure.
 
-    Returns (upper, residual, path): the path's length, inf where the
-    closure is infeasible or its residual is not finite, the closure's
-    residual and, if ``collect``, the path as (B, k, d1) unit-duration
-    control displacements.
-
-    A finite, nonzero row is bounded at unit homogeneous norm, where its
-    residual is reported, and its length and path are dilated back, when
-    its closure could overflow or misses at its own scale.  The closure
-    forms products of up to d = max(step, 2) coordinates, of size up to
-    h^d at homogeneous norm h: they could overflow once h^(d + 1) is past
-    the largest float, and their roundoff can exceed the tolerance, which
-    is relative to the point's coordinates, where those are far below h^k
-    in layer k.  The rows that close at their own scale keep their bits.
+    Returns (upper, residual, path): the path's length, inf where
+    ``_certify`` does not accept it, the closure's residual and, if
+    ``collect``, the path as (B, k, d1) unit-duration control
+    displacements.  As in the optimizer, every finite nonzero row is
+    certified at unit homogeneous norm, where its residual is reported,
+    and its length and path are dilated back.
     """
     scales = space.homogeneous_norm(points)
-    finite = np.isfinite(scales) & (scales > 0)
-    degree = max(space.algebra.num_layers, 2)
-    big = finite & (scales > np.finfo(float).max ** (1.0 / (degree + 1)))
-    upper, res, path = _closed(space, points, scales, big, collect)
-    again = finite & ~big & ~np.isfinite(upper)
-    if np.any(again):
-        unit = np.ones(np.count_nonzero(again), dtype=bool)
-        upper[again], res[again], more = _closed(
-            space, points[again], scales[again], unit, collect)
-        if collect:
-            path = _merged(path, again, more)
+    live = np.isfinite(scales) & (scales > 0)
+    unit = _dilated_to_unit(space, points, scales, live)
+    u1 = unit[:, None, : space.d1]
+    upper, res, path = _certify(space, u1, space.embed_horizontal(u1[:, 0]),
+                                unit, collect)
+    dilation = np.where(live, scales, 1.0)
+    upper *= dilation
+    if collect:
+        path *= dilation[:, None, None]
     return upper, res, path
 
 
@@ -1362,8 +1351,9 @@ def cc_upper_batch(space: CCSpace, targets, budget=None, seed=0,
     Returns (upper, residual): ``upper`` is the exact length of a feasible
     witness (optimized path plus exact ladder closure of the remaining
     defect, or for a row with no feasible start the straight segment plus
-    its closure); ``residual`` the final coordinate mismatch, ~1e-12.
-    Raises OptimizerFailure only for rows where both are infeasible, and
+    its closure); ``residual`` the final coordinate mismatch at unit
+    homogeneous norm, where every row is bounded, ~1e-12.  Raises
+    OptimizerFailure only for rows where both are infeasible, and
     InputError for a non-finite target.
 
     With a ``radius`` (positive, finite) each start of a row stops as

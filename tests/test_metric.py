@@ -675,8 +675,8 @@ def test_failed_row_falls_back_to_the_ladder(heis, monkeypatch, rng):
     pts = rng.standard_normal((6, 3))
     solve = metric._optimize_controls
 
-    def spoiled(group, gram, targets, controls0, budget, radius=None):
-        controls = solve(group, gram, targets, controls0, budget, radius)
+    def spoiled(group, gram, targets, controls0, budget, stop=None):
+        controls = solve(group, gram, targets, controls0, budget, stop)
         # row 0 of every start: the starts are stacked start-major
         controls[:: len(targets) // budget.starts] = np.nan
         return controls
@@ -949,8 +949,9 @@ def test_cc_upper_max_fails_where_the_batch_fails(heis, monkeypatch, rng):
 
 def test_straight_segment_too_large_to_multiply_gets_its_bound(
         heis, engel_space):
-    # rows whose products could overflow are bounded at unit homogeneous
-    # norm and dilated back; the other rows keep their bits
+    # every row is closed at unit homogeneous norm and dilated back, so
+    # rows whose products would overflow at their own scale get their
+    # bound, and a row's bound does not depend on its batch-mates
     small = np.array([[0.3, -1.2, 0.7], [0, 0, 1e200], [1e10, 2e10, 3e20]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -966,10 +967,13 @@ def test_straight_segment_too_large_to_multiply_gets_its_bound(
 
 
 def test_straight_segment_missing_at_its_scale_gets_its_bound(engel_space):
-    # (3e60, 4e60, 1e100, 1e150) is far below h^k in layers 2 and 3: its
-    # closure misses by 1e156 at its own scale and closes at unit
-    # homogeneous norm, where dilated back it meets its lower bound 5e60
-    points = np.array([[0.3, -1.0, 0.2, 0.5], [3e60, 4e60, 1e100, 1e150]])
+    # (3e60, 4e60, 1e100, 1e150) and (3, 4, 1e40, 1e90) are far below h^k
+    # in layers 2 and 3: at their own scale the closure would miss by
+    # 1e156 and 1.1e76, within a tolerance relative to the coordinates.
+    # Closed at unit homogeneous norm the first, dilated back, meets its
+    # lower bound 5e60, and the second leaves a residual near roundoff
+    points = np.array([[0.3, -1.0, 0.2, 0.5], [3e60, 4e60, 1e100, 1e150],
+                       [3, 4, 1e40, 1e90]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         alone = certified_upper_cheap(engel_space, points[:1])
@@ -978,8 +982,8 @@ def test_straight_segment_missing_at_its_scale_gets_its_bound(engel_space):
         end = path_endpoints_batch(engel_space.group, path)
     assert upper[0] == alone[0]
     assert upper[1] == pytest.approx(5e60, rel=1e-12)
-    assert lower_bounds_batch(engel_space, points)[0][1] <= upper[1]
-    assert res[1] <= 1e-9
+    assert np.all(lower_bounds_batch(engel_space, points)[0][1:] <= upper[1:])
+    assert np.all(res[1:] <= 1e-9)
     # the collected path has the bound's length and reaches the point
     lengths = np.sum(engel_space.metric.norm(path), axis=-1)
     assert lengths == pytest.approx(upper, rel=1e-12)
@@ -990,8 +994,9 @@ def test_straight_segment_missing_at_its_scale_gets_its_bound(engel_space):
 def test_closure_leaves_a_row_whose_residual_stops_shrinking(engel_space):
     # at its own scale the closure of (3e60, 4e60, 1e100, 1e150) misses by
     # roundoff near 1e156: the row leaves after the first pass that does
-    # not shrink its residual, not after all 60 passes (841 moves), and the
-    # retry at unit homogeneous norm still bounds it by 5e60
+    # not shrink its residual, not after all 60 passes (841 moves).  The
+    # straight segment's bound closes it at unit homogeneous norm only, so
+    # its path has as many moves as the point's own at unit norm
     point = np.array([[3e60, 4e60, 1e100, 1e150]])
     start = engel_space.embed_horizontal(point[:, :2])
     _, _, res, segs = close_defect_batch(engel_space, start, point,
@@ -1000,4 +1005,32 @@ def test_closure_leaves_a_row_whose_residual_stops_shrinking(engel_space):
     upper, res, path = metric._straight_ladder(engel_space, point,
                                                collect=True)
     assert upper[0] == pytest.approx(5e60, rel=1e-12) and res[0] <= 1e-9
-    assert path.shape[1] < 100
+    unit = dilate(engel_space.algebra,
+                  1.0 / engel_space.homogeneous_norm(point)[0], point)
+    _, _, moves = metric._straight_ladder(engel_space, unit, collect=True)
+    assert path.shape[1] == moves.shape[1]
+
+
+@pytest.mark.parametrize("name", ["heisenberg", "engel", "free2-3"])
+def test_straight_segment_is_dilation_covariant(name):
+    # d(delta_s g) = s d(g): the straight segment's bound keeps it up to
+    # roundoff from 2^-300 to 2^300, and small points, whose leftover
+    # under EXACT_TOL is closed at unit norm, do not read below their
+    # certified lower bound
+    space = CCSpace(catalog.get(name))
+    points = np.random.default_rng(0).standard_normal((200, space.algebra.dim))
+    small = np.array([[1e-8, 0.0, 1e-13], [0.0, 0.0, 1e-30]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cheap = certified_upper_cheap(space, points)
+        for k in (-300, -40, -3, 1, 7, 40, 300):
+            s = 2.0 ** k
+            moved = dilate(space.algebra, s, points)
+            upper = certified_upper_cheap(space, moved)
+            assert np.all(np.abs(upper / (s * cheap) - 1.0) <= 1e-14)
+            lower = lower_bounds_batch(space, moved)[0]
+            assert np.all(lower <= upper * (1 + 1e-12))
+        if name == "heisenberg":
+            upper = certified_upper_cheap(space, small)
+            assert np.all(heisenberg_distance(small) <= upper)
+            assert upper[1] == pytest.approx(4e-15, rel=1e-12)
