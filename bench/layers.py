@@ -28,7 +28,15 @@ Cases, at the ``engel-distance`` budget (12 segments, 2 starts,
 - ``engel-volume-10k``: certified Engel ``ball_volume(r=1, 10000
   samples, seed 0)``;
 - ``cheap/engel-far``: ``certified_upper_cheap`` on the Engel point
-  (3e60, 4e60, 1e100, 1e150).
+  (3e60, 4e60, 1e100, 1e150);
+- ``lower/<group>/B<B>``: ``lower_bounds_batch`` on B = 256 and 24320
+  points, 0.5 x standard-normal (generator seed 3);
+- ``derivate/heisenberg/<box>``: ``derivate`` of ``abelianized_distance``
+  at 0 along X on the default t-grid, 64 samples per level, seed 0, in
+  the box of ``calibrate_ballbox(100 samples, seed 1000)`` or in the
+  certified box; the answer adds the sum of the sampled points.  Its
+  ``counts`` are the sampler's calls of ``lower_bounds_batch`` and
+  ``certified_upper_cheap`` in one call.
 """
 
 import os
@@ -64,15 +72,44 @@ def load_tree(src, name):
     sys.modules[name] = module
     spec.loader.exec_module(module)
     return {part: importlib.import_module(f"{name}.{part}")
-            for part in ("catalog", "group", "measure", "metric")}
+            for part in ("catalog", "derivate", "group", "measure", "metric")}
 
 
 def rounded(values):
     return [float(f"{v:.12g}") for v in np.ravel(values)]
 
 
+def counted_calls(module, names, fn):
+    """fn()'s calls of the functions ``names`` that ``module`` looks up."""
+    counts = dict.fromkeys(names, 0)
+    originals = {name: getattr(module, name) for name in names}
+
+    def counting(name):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return originals[name](*args, **kwargs)
+        return call
+
+    for name in names:
+        setattr(module, name, counting(name))
+    try:
+        fn()
+    finally:
+        for name, original in originals.items():
+            setattr(module, name, original)
+    return counts
+
+
+def lower_bound(metric, space, points):
+    """``lower_bounds_batch``'s bound, from a tree returning it alone or
+    with the per-row labels."""
+    lower = metric.lower_bounds_batch(space, points)
+    return lower[0] if isinstance(lower, tuple) else lower
+
+
 def cases(tree, tiny):
-    """(name, calls per repeat, function returning the answer) per case."""
+    """(name, calls per repeat, function returning the answer, counts)
+    per case; ``counts`` is a dict, empty where nothing is counted."""
     catalog, metric, measure = tree["catalog"], tree["metric"], tree["measure"]
     group = {name: tree["group"].CarnotGroup(catalog.get(name))
              for name in ("heisenberg", "engel")}
@@ -132,7 +169,37 @@ def cases(tree, tiny):
             metric.certified_upper_cheap(engel,
                                          [[3e60, 4e60, 1e100, 1e150]]))),
     ]
-    return out
+    for name, space in spaces.items():
+        for B in (20,) if tiny else (256, 24320):
+            points = 0.5 * np.random.default_rng(3).standard_normal(
+                (B, space.algebra.dim))
+            calls = 1 if tiny else max(1, 100000 // B)
+            out.append((f"lower/{name}/B{B}", calls,
+                        lambda space=space, points=points: rounded(
+                            np.sum(lower_bound(metric, space, points)))))
+    lab = tree["derivate"]
+    ballbox = metric.calibrate_ballbox(heis, 100, seed=1000)
+    for box, given in (("calibrated", ballbox), ("certified", None)):
+        def estimate(given=given):
+            # every quotient of this distance is |v|, so the answer sums
+            # the sampled points too
+            d = lab.abelianized_distance(heis)
+            seen, evaluator = [], d.evaluator
+
+            def recording(xs, ys):
+                seen.append(np.sum(xs))
+                return evaluator(xs, ys)
+
+            d.evaluator = recording
+            est = lab.derivate(heis, d, np.zeros(3), np.array([1.0, 0.0, 0.0]),
+                               samples_per_t=8 if tiny else 64, seed=0,
+                               ballbox=given)
+            return rounded([est.rho_lower, est.rho_upper, *seen])
+
+        out.append((f"derivate/heisenberg/{box}", 1 if tiny else 3, estimate,
+                    counted_calls(lab, ("lower_bounds_batch",
+                                        "certified_upper_cheap"), estimate)))
+    return [case if len(case) == 4 else case + ({},) for case in out]
 
 
 def main(argv=None):
@@ -154,7 +221,7 @@ def main(argv=None):
                     "cpus": len(os.sched_getaffinity(0)),
                     "loadavg_at_start": os.getloadavg()},
            "cases": {}}
-    for k, (name, calls, _) in enumerate(trees[0]):
+    for k, (name, calls, _, _) in enumerate(trees[0]):
         fns = [tree[k][2] for tree in trees]
         answers = [fn() for fn in fns]  # a warm-up call, whose answer is kept
         times = [[] for _ in fns]
@@ -168,8 +235,9 @@ def main(argv=None):
         doc["cases"][name] = {
             "calls_per_repeat": calls,
             "trees": [{"ms": round(statistics.median(t), 4),
-                       "repeats_ms": [round(x, 4) for x in t], "answer": a}
-                      for t, a in zip(times, answers)]}
+                       "repeats_ms": [round(x, 4) for x in t], "answer": a,
+                       **({"counts": tree[k][3]} if tree[k][3] else {})}
+                      for t, a, tree in zip(times, answers, trees)]}
     json.dump(doc, sys.stdout, indent=1)
     print()
 

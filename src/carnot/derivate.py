@@ -10,11 +10,13 @@ Also here: the certified ball sampler and the spread estimate
 quantifying how a box's end stays together under the flow, on the End
 sampler of ``measure``.
 
-Each lab draws all of its samples first, in the order of a per-level
-loop, and evaluates the distance once on the whole set, so the path
-solver's and the ladder's fixed costs are paid once per call.  The ball
-sampler draws its candidates in blocks of tries and runs the ladder only
-on those the certified lower bound keeps.
+Each lab draws all of its samples first and evaluates the distance
+once on the whole set, so the path solver's and the ladder's fixed
+costs are paid once per call.  The derivate samples every level in one
+ball-sampler call: the levels take their candidates from one stream of
+uniform tries, drawn in blocks, and the ladder runs only on those the
+certified lower bound keeps.  The samples are those of a per-level
+loop drawing and testing one try at a time.
 """
 
 from __future__ import annotations
@@ -86,7 +88,7 @@ def cc_distance(space: CCSpace, ballbox=None, seed=0) -> LipschitzDistance:
 
     def evaluator(xs, ys):
         deltas = _canonical_deltas(space, xs, ys)
-        lower, _ = lower_bounds_batch(space, deltas, ballbox)
+        lower = lower_bounds_batch(space, deltas, ballbox)
         upper, _ = cc_upper_batch(space, deltas, budget=MEMBERSHIP_BUDGET,
                                   seed=seed)
         upper = np.minimum(upper, certified_upper_cheap(space, deltas))
@@ -146,52 +148,76 @@ def abelianized_distance(space: CCSpace) -> LipschitzDistance:
 # -- certified ball sampler ------------------------------------------------
 
 
-def sample_ball(space: CCSpace, center, radius, count, rng, ballbox,
+def sample_ball(space: CCSpace, center, radii, count, rng, ballbox,
                 max_tries=200):
-    """Rejection samples from the certified CC ball B(center, radius).
+    """Rejection samples from the certified CC balls B(center, r), r in radii.
 
-    Candidates are uniform in the enclosing box (of the certified
-    per-layer constants, or of ``ballbox`` when one is given) and
-    accepted when the cheap certified upper bound is below the radius,
-    so every returned point genuinely lies in the ball (the sample leans
-    inward).  A try draws max(4 count, 256) candidates; at most
-    ``max_tries`` tries are made.
+    ``radii`` is a radius or a sequence of them; ``count`` points are
+    returned per radius, in the order of ``radii``.  Candidates are
+    uniform in the ball's enclosing box (of the certified per-layer
+    constants, or of ``ballbox`` when one is given) and accepted when
+    the cheap certified upper bound is at most the radius, so every
+    returned point genuinely lies in its ball (the sample leans inward).
+    A try is max(4 count, 256) uniform points of [-1, 1)^n; a radius
+    takes its candidates from at most ``max_tries`` tries, scaled by its
+    box's half-widths.
 
-    Tries are drawn in blocks with one ``rng.uniform`` call: the block
-    doubles while nothing is accepted, then is sized from the acceptance
-    rate so far.  Only candidates whose certified lower bound is within
-    the radius reach the ladder; the lower bound is below the cheap upper
-    one, so this rejects no member.  Points are taken in try order and
-    the generator is rewound to the end of the last try used, so both
-    the points and ``rng``'s state afterwards are those of drawing and
-    testing one try at a time.
+    Every radius takes its tries from one stream, drawn in blocks with
+    one ``rng.uniform`` call.  A radius tests a block of the stream's
+    next tries; the tries after the one that completes its count are
+    tested again, scaled by the next radius's box.  A block doubles while
+    nothing has been accepted, then is sized from the acceptance rate so
+    far: every box and ball is a dilation of the first, so the rate is
+    the same at every radius.  Only candidates whose certified lower
+    bound is within the radius reach the ladder; the lower bound is
+    below the cheap upper one, so this rejects no member.  The generator
+    is rewound once, at the end, to the end of the last try used, so the
+    points, a starved radius's error and ``rng``'s state afterwards are
+    those of drawing and testing one try at a time, radius after radius.
     """
     center = space.algebra.vector(center)
-    half = enclosing_box_halfwidths(space, ballbox, radius)
     per_try, dim = max(4 * count, 256), space.algebra.dim
-    out = []
-    have = tries = 0
+    pool = np.empty((0, dim))  # the stream's drawn tries not yet used
+    marks = []  # (tries drawn before, generator state) per draw
+    drawn = used = accepted = 0
     block = 1
-    while have < count and tries < max_tries:
-        block = min(block, max_tries - tries)
-        state = rng.bit_generator.state
-        cand = rng.uniform(-1.0, 1.0, (block * per_try, dim)) * half
-        rows = np.flatnonzero(lower_bounds_batch(space, cand)[0] <= radius)
-        rows = rows[certified_upper_cheap(space, cand[rows]) <= radius]
-        rows = rows[: count - have]
-        out.append(cand[rows])
-        have += len(rows)
-        used = block if have < count else int(rows[-1]) // per_try + 1
-        if used < block:  # rewind to the end of the last try used
+    out = []
+    try:
+        for radius in np.atleast_1d(np.asarray(radii, dtype=float)):
+            half = enclosing_box_halfwidths(space, ballbox, radius)
+            have = tries = 0
+            while have < count and tries < max_tries:
+                if accepted:
+                    block = math.ceil(1.5 * (count - have) * used / accepted)
+                block = min(block, max_tries - tries)
+                if len(pool) < block * per_try:
+                    marks.append((drawn, rng.bit_generator.state))
+                    more = block - len(pool) // per_try
+                    pool = np.concatenate(
+                        [pool, rng.uniform(-1.0, 1.0, (more * per_try, dim))])
+                    drawn += more
+                cand = pool[: block * per_try] * half
+                rows = np.flatnonzero(lower_bounds_batch(space, cand)
+                                      <= radius)
+                rows = rows[certified_upper_cheap(space, cand[rows]) <= radius]
+                rows = rows[: count - have]
+                out.append(cand[rows])
+                have += len(rows)
+                took = (block if have < count
+                        else int(rows[-1]) // per_try + 1)
+                pool = pool[took * per_try:]
+                tries += took
+                used += took
+                accepted += len(rows)
+                block *= 2  # kept only while nothing has been accepted
+            if have < count:
+                raise InputError(
+                    f"ball rejection sampling starved at radius {radius}")
+    finally:
+        if drawn > used:  # rewind to the end of the last try used
+            first, state = next(m for m in reversed(marks) if m[0] <= used)
             rng.bit_generator.state = state
-            rng.uniform(-1.0, 1.0, (used * per_try, dim))
-        tries += used
-        block = (2 * block if not have
-                 else math.ceil(1.5 * (count - have) * tries / have))
-    if have < count:
-        raise InputError(
-            f"ball rejection sampling starved at radius {radius}"
-        )
+            rng.uniform(-1.0, 1.0, ((used - first) * per_try, dim))
     return space.group.bch(center, np.concatenate(out, axis=0))
 
 
@@ -258,10 +284,10 @@ def derivate(space: CCSpace, d: LipschitzDistance, x, v, t_grid=None,
     The radial geodesic gives d_cc(y, y h_t e^v) = t |v| exactly, so the
     declared Lipschitz constant is enforced on every sampled pair.
     The grid needs at least 2 levels, each at least 1e-5.
-    Every level is sampled first, in descending t from one generator,
-    and d is evaluated once on all the pairs; the Lipschitz check then
-    runs level by level, so the first violation found is at the largest
-    violating t.
+    Every level is sampled first, in descending t, by one
+    ``sample_ball`` call, and d is evaluated once on all the pairs; the
+    Lipschitz check then runs level by level, so the first violation
+    found is at the largest violating t.
     """
     x = space.algebra.vector(x)
     v = space.algebra.vector(v)
@@ -278,8 +304,7 @@ def derivate(space: CCSpace, d: LipschitzDistance, x, v, t_grid=None,
                          f"1e-5, for the tail fit; got {t_grid.tolist()}")
     vnorm = float(space.metric.norm(v[: space.d1]))
     rng = np.random.default_rng(seed)
-    ys = np.concatenate([sample_ball(space, x, t, samples_per_t, rng, ballbox)
-                         for t in t_grid])
+    ys = sample_ball(space, x, t_grid, samples_per_t, rng, ballbox)
     level_t = np.repeat(t_grid, samples_per_t)
     ys2 = space.group.bch(ys, level_t[:, None] * v[None, :])
     qs = (d(ys, ys2) / level_t).reshape(len(t_grid), samples_per_t)

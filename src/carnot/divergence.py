@@ -136,7 +136,7 @@ def divergence_profile(space: CCSpace, pair: GeodesicPair, budget=None,
     if np.max(np.abs(pair.t_grid)) > np.finfo(float).max ** (1.0 / step):
         raise InputError(f"divergence times need a finite |t|^{step}")
     disp = np.stack([displacement(space, pair, t) for t in pair.t_grid])
-    lower, _ = lower_bounds_batch(space, disp, ballbox)
+    lower = lower_bounds_batch(space, disp, ballbox)
     try:
         upper, _ = cc_upper_batch(space, disp, budget=budget, seed=seed)
     except OptimizerFailure:

@@ -126,7 +126,7 @@ def ball_volume(space: CCSpace, ballbox: BallBoxConstant | None, r, samples,
     box_vol = float(np.prod(2 * half))
     pts = rng.uniform(-1.0, 1.0, (samples, space.algebra.dim)) * half
 
-    lower, _ = lower_bounds_batch(space, pts, ballbox)
+    lower = lower_bounds_batch(space, pts, ballbox)
     upper = np.full(samples, np.inf)
     undecided = lower <= r
     if np.any(undecided):

@@ -45,6 +45,7 @@ the whole batch draws for it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -137,17 +138,23 @@ def _euclid(v):
     return np.linalg.norm(v, axis=-1)
 
 
+# Norms below this come from sums of squares that lost bits to underflow.
+_UNDERFLOW_NORM = math.sqrt(np.finfo(float).tiny)
+
+
 def _unsquared(norm, v):
-    """norm(v) per row; a finite row whose squares overflow is scaled by
-    its largest coordinate first, and the others keep their bits."""
+    """norm(v) per row; a finite nonzero row whose squares overflow or
+    underflow is scaled by its largest coordinate first, and the others
+    keep their bits."""
     with np.errstate(over="ignore", invalid="ignore"):
         out = np.asarray(norm(v))
-    big = np.isinf(out)
-    if np.any(big):  # the finite rows among them, looked for only then
-        big = big & np.all(np.isfinite(v), axis=-1)
-    if np.any(big):
-        scale = np.max(np.abs(v[big]), axis=-1, keepdims=True)
-        out[big] = scale[:, 0] * norm(v[big] / scale)
+    if out.size and _UNDERFLOW_NORM <= out.min() and out.max() < np.inf:
+        return out
+    odd = ~(out >= _UNDERFLOW_NORM) | np.isinf(out)
+    odd &= np.all(np.isfinite(v), axis=-1) & np.any(v != 0, axis=-1)
+    if np.any(odd):
+        scale = np.max(np.abs(v[odd]), axis=-1, keepdims=True)
+        out[odd] = scale[:, 0] * norm(v[odd] / scale)
     return out
 
 
@@ -368,28 +375,28 @@ class LayerBounds:
                                                 start=2)}
 
 
+def _lower_terms(space: CCSpace, deltas, ballbox):
+    """(label, bound) per lower bound of ``lower_bounds_batch``."""
+    norms = space.layer_norms(deltas)
+    bounds = space.layer_bounds()
+    terms = [("abelianization", norms[..., 0])]
+    for k, (K, source) in enumerate(zip(bounds.K, bounds.sources), start=2):
+        if K > 0:
+            terms.append((source, (norms[..., k - 1] / K) ** (1.0 / k)))
+    if ballbox is not None:
+        terms.append(("ball-box", space.homogeneous_norm(deltas) / ballbox.A))
+    return terms
+
+
 def lower_bounds_batch(space: CCSpace, deltas, ballbox=None):
     """Lower bounds of d_cc(e^0, delta) for displacement coords (B, n).
 
     The largest of the abelianization bound, the certified per-layer
     bounds (|z_k| / K_k)^(1/k) and, when a calibrated constant is given,
-    (1/A) sum_k |z_k|^(1/k).  ``method`` names the largest per row:
-    "abelianization", "dido", "signature" or "ball-box".
+    (1/A) sum_k |z_k|^(1/k).  ``estimate_distance`` names the largest.
     """
-    norms = space.layer_norms(deltas)
-    bounds = space.layer_bounds()
-    terms, labels = [norms[..., 0]], ["abelianization"]
-    for k, (K, source) in enumerate(zip(bounds.K, bounds.sources), start=2):
-        if K > 0:
-            terms.append((norms[..., k - 1] / K) ** (1.0 / k))
-            labels.append(source)
-    if ballbox is not None:
-        terms.append(space.homogeneous_norm(deltas) / ballbox.A)
-        labels.append("ball-box")
-    terms = np.stack(terms, axis=-1)
-    best = np.argmax(terms, axis=-1)
-    lower = np.take_along_axis(terms, best[..., None], axis=-1)[..., 0]
-    return lower, np.array(labels)[best]
+    return functools.reduce(np.maximum, [
+        bound for _, bound in _lower_terms(space, deltas, ballbox)])
 
 
 # -- commutator-ladder closure --------------------------------------------
@@ -436,6 +443,9 @@ class LadderPlan:
         d1 = space.d1
         self.space = space
         self.layers = {}
+        # each layer-1 basis direction's metric length
+        self.letter_lengths = [float(space.metric.norm(e))
+                               for e in np.eye(d1)]
         for p in range(2, algebra.num_layers + 1):
             dp = algebra.layer_dims[p - 1]
             sl = algebra.layer_slice(p)
@@ -489,9 +499,7 @@ class LadderPlan:
                 factor = s * base_sign * (sg if outer else 1.0)
                 u[..., letter] = factor
                 controls.append(u)
-                lengths += s * float(
-                    self.space.metric.norm(np.eye(d1)[letter])
-                )
+                lengths += s * self.letter_lengths[letter]
         return controls, lengths
 
 
@@ -1179,9 +1187,25 @@ class _Starts:
 
 
 def _dilated_to_unit(space: CCSpace, points, scales, rows):
-    """``points`` with the masked ``rows`` dilated by 1 / ``scales``."""
+    """``points`` with the masked ``rows`` dilated by 1 / ``scales``.
+
+    A row whose weight (1 / scale)^k overflows has its layer k multiplied
+    by 1 / scale k times instead; the other rows keep their bits.
+    """
     inv = 1.0 / np.where(rows, scales, 1.0)
-    return points * inv[:, None] ** space.algebra.layer_of.astype(float)
+    layer = space.algebra.layer_of
+    with np.errstate(over="ignore"):
+        weights = inv[:, None] ** layer.astype(float)
+    far = np.isinf(weights[:, -1])  # the top layer's weight overflows first
+    if not np.any(far):
+        return points * weights
+    weights[far] = 1.0
+    out = points * weights
+    near_unit = points[far]
+    for k in range(1, int(layer[-1]) + 1):
+        near_unit[:, layer >= k] *= inv[far, None]
+    out[far] = near_unit
+    return out
 
 
 def _draw_starts(space: CCSpace, targets, budget, seed):
@@ -1416,7 +1440,7 @@ def cc_upper_max(space: CCSpace, targets, budget=None, seed=0):
                          f"positive, got shape {targets.shape}")
     cells, k, _ = targets.shape
     starts = _draw_starts(space, targets.reshape(cells * k, -1), budget, seed)
-    lower = lower_bounds_batch(space, starts.targets)[0].reshape(cells, k)
+    lower = lower_bounds_batch(space, starts.targets).reshape(cells, k)
     floor = np.max(lower, axis=1)
     upper = np.zeros(cells * k)
     residual = np.zeros(cells * k)
@@ -1515,6 +1539,9 @@ def estimate_distance(space: CCSpace, x, y, budget=None, ballbox=None, seed=0):
     optimized path from x to y with its ladder closure, or the straight
     segment with its closure.  Raises OptimizerFailure, with the best
     infeasible path attached, if neither meets the endpoint tolerance.
+    The lower bound is ``lower_bounds_batch``'s, at most the upper one,
+    and ``lower_method`` names its largest term: "abelianization",
+    "dido", "signature" or "ball-box".
     """
     if budget is None:
         budget = OptimizerBudget()
@@ -1539,12 +1566,13 @@ def estimate_distance(space: CCSpace, x, y, budget=None, ballbox=None, seed=0):
     else:  # x == y
         witness = ControlPath(np.zeros(0), np.zeros((0, space.d1)), x)
         length, upper_method = 0.0, "trivial"
-    lower, method = lower_bounds_batch(space, delta[None, :], ballbox)
+    method, lower = max(_lower_terms(space, delta[None, :], ballbox),
+                        key=lambda term: term[1][0])
     return DistanceEstimate(
         lower=float(min(lower[0], length)),
         upper=length,
         witness=witness,
-        lower_method=str(method[0]),
+        lower_method=method,
         upper_method=upper_method,
         endpoint_residual=float(residual[0]),
         seed=seed,
@@ -1585,7 +1613,7 @@ def calibrate_ballbox(space: CCSpace, samples=1000, seed=0):
     starts = _draw_starts(space, vs, OptimizerBudget(segments=12, starts=2),
                           int(rng.integers(2**32)))
     hnorm = starts.scales  # the homogeneous norms of vs
-    ceiling = hnorm / lower_bounds_batch(space, vs)[0]
+    ceiling = hnorm / lower_bounds_batch(space, vs)
     max_ratio = -np.inf
     for chunk, (rows, _) in enumerate(starts.chunks):
         order = np.argsort(-ceiling[rows], kind="stable")

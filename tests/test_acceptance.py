@@ -105,14 +105,14 @@ def test_criterion_4_homothety(capsys, heis, heis_ballbox):
     ys = rng.standard_normal((100, 3))
     targets = heis.group.difference(xs, ys)
     upper, _ = cc_upper_batch(heis, targets, budget=BUDGET, seed=4)
-    lower, _ = lower_bounds_batch(heis, targets, heis_ballbox)
+    lower = lower_bounds_batch(heis, targets, heis_ballbox)
     failures = 0
     for t in (0.5, 2.0):
         xt = dilate(heis.algebra, t, xs)
         yt = dilate(heis.algebra, t, ys)
         tt = heis.group.difference(xt, yt)
         ut, _ = cc_upper_batch(heis, tt, budget=BUDGET, seed=4)
-        lt, _ = lower_bounds_batch(heis, tt, heis_ballbox)
+        lt = lower_bounds_batch(heis, tt, heis_ballbox)
         gap = np.maximum(lt, t * lower) - np.minimum(ut, t * upper)
         failures += int(np.sum(gap > 1e-9 * (1 + t * upper)))
     ok = failures == 0

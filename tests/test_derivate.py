@@ -231,20 +231,33 @@ def _sample_ball_one_try_at_a_time(space, center, radius, count, rng, ballbox,
     return space.group.bch(center, np.concatenate(out, axis=0)[:count])
 
 
+def _sample_balls_one_at_a_time(space, center, radii, count, rng, ballbox,
+                                max_tries=200):
+    return np.concatenate([
+        _sample_ball_one_try_at_a_time(space, center, r, count, rng, ballbox,
+                                       max_tries)
+        for r in radii])
+
+
 @pytest.mark.parametrize("box", ["calibrated", "certified"])
 @pytest.mark.parametrize("count", [5, 64, 300])
 def test_sample_ball_matches_one_try_at_a_time(heis, heis_ballbox, box,
                                                count):
-    # the calibrated box accepts about 1 candidate in 250, so a call
-    # takes tens of tries in several blocks
+    # the calibrated box accepts about 1 candidate in 250, so a radius
+    # takes tens of tries in several blocks; the tries a radius leaves
+    # unused are the next radius's, scaled by its box.  At seed 5 the
+    # count-5 calibrated call ends inside a draw before its last one.
     ballbox = heis_ballbox if box == "calibrated" else None
     center = np.array([0.2, -0.1, 0.4])
-    want_rng, got_rng = np.random.default_rng(12), np.random.default_rng(12)
-    want = _sample_ball_one_try_at_a_time(heis, center, 0.3, count,
-                                          want_rng, ballbox)
-    got = sample_ball(heis, center, 0.3, count, got_rng, ballbox)
-    assert np.array_equal(got, want)
-    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    radii = [0.3, 0.15, 1.0, 0.02]
+    for seed in (12, 5):
+        want_rng = np.random.default_rng(seed)
+        got_rng = np.random.default_rng(seed)
+        want = _sample_balls_one_at_a_time(heis, center, radii, count,
+                                           want_rng, ballbox)
+        got = sample_ball(heis, center, radii, count, got_rng, ballbox)
+        assert np.array_equal(got, want)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 def test_sample_ball_starves_after_max_tries_on_engel(engel_space):
@@ -257,6 +270,21 @@ def test_sample_ball_starves_after_max_tries_on_engel(engel_space):
     with pytest.raises(InputError, match="starved"):
         sample_ball(engel_space, np.zeros(4), 0.5, 8, got_rng, None,
                     max_tries=30)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_sample_ball_starves_at_a_later_radius(engel_space):
+    # at seed 65 one Engel candidate in 30 tries is found for r = 0.5 and
+    # none for r = 0.25, after a block sized from the first radius's rate
+    radii = [0.5, 0.25, 1.0]
+    want_rng, got_rng = np.random.default_rng(65), np.random.default_rng(65)
+    with pytest.raises(InputError, match="starved at radius 0.25") as want:
+        _sample_balls_one_at_a_time(engel_space, np.zeros(4), radii, 1,
+                                    want_rng, None, max_tries=30)
+    with pytest.raises(InputError, match="starved") as got:
+        sample_ball(engel_space, np.zeros(4), radii, 1, got_rng, None,
+                    max_tries=30)
+    assert str(got.value) == str(want.value)
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 

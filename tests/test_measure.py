@@ -78,7 +78,7 @@ def test_radius_keeps_the_members(heis):
     r = 1.0
     half = enclosing_box_halfwidths(heis, None, r)
     pts = np.random.default_rng(10).uniform(-1.0, 1.0, (1500, 3)) * half
-    pts = pts[lower_bounds_batch(heis, pts)[0] <= r]
+    pts = pts[lower_bounds_batch(heis, pts) <= r]
     full, _ = cc_upper_batch(heis, pts, budget=MEMBERSHIP_BUDGET, seed=11)
     stopped, residual = cc_upper_batch(heis, pts, budget=MEMBERSHIP_BUDGET,
                                        seed=11, radius=r)

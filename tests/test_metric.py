@@ -228,9 +228,8 @@ def test_layer_bound_constants():
     assert engel.K == pytest.approx((1 / (2 * np.pi), np.sqrt(2) / 3), rel=1e-15)
     assert engel.as_dict()["layer3"] == {"K": engel.K[1],
                                          "source": "signature"}
-    lower, method = lower_bounds_batch(CCSpace(catalog.engel()),
-                                       np.array([[0.0, 0.0, 0.0, 1.0]]))
-    assert method.tolist() == ["signature"]
+    lower = lower_bounds_batch(CCSpace(catalog.engel()),
+                               np.array([[0.0, 0.0, 0.0, 1.0]]))
     assert lower[0] == pytest.approx(engel.K[1] ** (-1 / 3), rel=1e-15)
     scaled = CCSpace(catalog.heisenberg(), HorizontalMetric(np.eye(2) / 4))
     assert scaled.layer_bounds().K[0] == pytest.approx(4 / (2 * np.pi))
@@ -244,9 +243,11 @@ def test_lower_bound_below_exact_heisenberg_distance(heis, heis_ballbox):
     half = enclosing_box_halfwidths(heis, heis_ballbox, 1.0)
     pts = rng.uniform(-1.0, 1.0, (20000, 3)) * half
     exact = heisenberg_distance(pts)
-    lower, method = lower_bounds_batch(heis, pts)
+    lower = lower_bounds_batch(heis, pts)
     assert np.all(lower <= exact * (1 + 1e-12))
-    assert set(method) == {"abelianization", "dido"}
+    labels, terms = zip(*metric._lower_terms(heis, pts, None))
+    assert set(np.array(labels)[np.argmax(terms, axis=0)]) == {
+        "abelianization", "dido"}
     assert np.median(lower / exact) > 0.85
     upper, _ = cc_upper_batch(heis, pts[:200], budget=FAST, seed=13)
     assert np.all(exact[:200] <= upper * (1 + 1e-9))
@@ -261,7 +262,7 @@ def test_ballbox_constant_calibration(heis_ballbox):
 def test_lower_never_exceeds_upper(heis, heis_ballbox, rng):
     pts = rng.standard_normal((200, 3))
     upper, _ = cc_upper_batch(heis, pts, budget=FAST, seed=1)
-    lower, _ = lower_bounds_batch(heis, pts, heis_ballbox)
+    lower = lower_bounds_batch(heis, pts, heis_ballbox)
     assert np.all(lower <= upper * (1 + 1e-9))
 
 
@@ -326,6 +327,25 @@ def test_estimate_distance_report(heis, heis_ballbox):
     assert doc["lower"] <= doc["upper"]
     assert doc["witness_segments"] is not None
     assert doc["seed"] == 6
+
+
+@pytest.mark.parametrize("name, point, method", [
+    ("heisenberg", [1.0, 0.0, 0.0], "abelianization"),
+    ("heisenberg", [0.0, 0.0, 1.0], "dido"),
+    ("engel", [0.0, 0.0, 0.0, 1.0], "signature"),
+    # (1 + sqrt 0.137) / A = 1.047 for the fixture's A = 1.308, above
+    # |z_1| = 1 and Dido's sqrt(2 pi 0.137) = 0.93
+    ("heisenberg", [1.0, 0.0, 0.137], "ball-box"),
+], ids=["abelianization", "dido", "signature", "ball-box"])
+def test_estimate_distance_names_the_largest_lower_bound(heis_ballbox, name,
+                                                         point, method):
+    space = CCSpace(catalog.get(name))
+    ballbox = heis_ballbox if name == "heisenberg" else None
+    est = estimate_distance(space, np.zeros(len(point)), np.array(point),
+                            budget=FAST, ballbox=ballbox, seed=6)
+    assert est.lower_method == method
+    assert est.lower == lower_bounds_batch(space, np.array([point]),
+                                           ballbox)[0]
 
 
 def test_unreachable_layer_raises():
@@ -909,7 +929,7 @@ def test_floored_rows_are_certified_below_the_floor(case):
     floor = np.full(64, np.median(full))
     starts = _draw_starts(space, targets, MEMBERSHIP_BUDGET, 43)
     upper, res, _, floored = _bound_rows(space, starts, 0, floor=floor)
-    lower = lower_bounds_batch(space, targets)[0]
+    lower = lower_bounds_batch(space, targets)
     assert np.any(floored) and not np.all(floored)
     assert np.all(res[floored] <= 1e-9)
     assert np.all(lower[floored] <= upper[floored] * (1 + 1e-12))
@@ -982,7 +1002,7 @@ def test_straight_segment_missing_at_its_scale_gets_its_bound(engel_space):
         end = path_endpoints_batch(engel_space.group, path)
     assert upper[0] == alone[0]
     assert upper[1] == pytest.approx(5e60, rel=1e-12)
-    assert np.all(lower_bounds_batch(engel_space, points)[0][1:] <= upper[1:])
+    assert np.all(lower_bounds_batch(engel_space, points)[1:] <= upper[1:])
     assert np.all(res[1:] <= 1e-9)
     # the collected path has the bound's length and reaches the point
     lengths = np.sum(engel_space.metric.norm(path), axis=-1)
@@ -1028,9 +1048,46 @@ def test_straight_segment_is_dilation_covariant(name):
             moved = dilate(space.algebra, s, points)
             upper = certified_upper_cheap(space, moved)
             assert np.all(np.abs(upper / (s * cheap) - 1.0) <= 1e-14)
-            lower = lower_bounds_batch(space, moved)[0]
+            lower = lower_bounds_batch(space, moved)
             assert np.all(lower <= upper * (1 + 1e-12))
         if name == "heisenberg":
             upper = certified_upper_cheap(space, small)
             assert np.all(heisenberg_distance(small) <= upper)
             assert upper[1] == pytest.approx(4e-15, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["heisenberg", "engel"])
+def test_points_below_squaring_range_get_their_bounds(name):
+    # squares of coordinates below 1e-154 underflow and (1 / scale)^3
+    # overflows below 1e-103: both are rescaled, so a point at distance
+    # 1e-200 (1e-120 on Engel) reads it and not 0, inf or a warning
+    space = CCSpace(catalog.get(name))
+    size = 1e-200 if name == "heisenberg" else 1e-120
+    point = space.embed_horizontal(np.array([[size, 0.0]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bounds = [lower_bounds_batch(space, point),
+                  certified_upper_cheap(space, point),
+                  cc_upper_batch(space, point, budget=MEMBERSHIP_BUDGET)[0]]
+        np.testing.assert_allclose(np.ravel(bounds), size, rtol=1e-12)
+        if name == "engel":
+            point = np.array([[1e-120, 2e-120, 3e-240, 1e-300]])
+            assert space.homogeneous_norm(point)[0] >= 1e-100
+            upper, residual = cc_upper_batch(space, point,
+                                             budget=MEMBERSHIP_BUDGET)
+            assert residual[0] <= 1e-9
+            assert lower_bounds_batch(space, point)[0] <= upper[0]
+
+
+@pytest.mark.parametrize("name", ["heisenberg", "engel", "free2-3",
+                                  "abelian3"])
+def test_lower_bound_below_upper_before_the_clamp(name):
+    # estimate_distance clamps its lower bound to its upper one, which may
+    # hide roundoff only: on abelian3 the two agree to 4.4e-16
+    space = CCSpace(catalog.get(name))
+    targets = np.random.default_rng(0).standard_normal((200,
+                                                        space.algebra.dim))
+    upper, _ = cc_upper_batch(space, targets, budget=MEMBERSHIP_BUDGET,
+                              seed=1)
+    assert np.all(lower_bounds_batch(space, targets)
+                  <= upper * (1 + 1e-15))
