@@ -29,6 +29,16 @@ Cases, at the ``engel-distance`` budget (12 segments, 2 starts,
   samples, seed 0)``;
 - ``cheap/engel-far``: ``certified_upper_cheap`` on the Engel point
   (3e60, 4e60, 1e100, 1e150);
+- ``warm/<case>/B<B>``: the solver's warm stage alone on B rows, from the
+  starts ``_draw_starts`` gives B / starts standard-normal targets
+  (generator seed 4, solver seed 5); the answer is the summed penalty at
+  its result.  ``engel`` at B = 2 and 200 at the ``engel-distance``
+  budget, and two cases on the fold side of ``POLY_CONTROLS``:
+  ``filiform5`` (the step-4 model filiform group, [X1, Xi] = X(i+1)) at
+  B = 96 and ``MEMBERSHIP_BUDGET``, and ``engel-m24`` at B = 2 with 24
+  segments (48 controls);
+- ``call/<case>/B<B>``: ``cc_upper_batch`` on the same targets, seed 5,
+  for the two fold-side cases;
 - ``lower/<group>/B<B>``: ``lower_bounds_batch`` on B = 256 and 24320
   points, 0.5 x standard-normal (generator seed 3);
 - ``derivate/heisenberg/<box>``: ``derivate`` of ``abelianized_distance``
@@ -107,6 +117,44 @@ def lower_bound(metric, space, points):
     return lower[0] if isinstance(lower, tuple) else lower
 
 
+def filiform(catalog, n):
+    """The model filiform algebra of dimension n, [X1, Xi] = X(i+1)."""
+    c = np.zeros((n, n, n))
+    for i in range(1, n - 1):
+        c[0, i, i + 1], c[i, 0, i + 1] = 1.0, -1.0
+    return catalog.GradedAlgebra(f"filiform{n}", [2] + [1] * (n - 2), c)
+
+
+def warm_stage(metric, space, budget, targets):
+    """A function running the warm stage once on the starts of
+    ``targets``; it returns the summed penalty at the stage's result."""
+    starts = metric._draw_starts(space, targets, budget, 5)
+    _, inits = starts.chunks[0]
+    targets = np.tile(starts.unit, (budget.starts, 1))
+    controls = inits.reshape(len(targets), budget.segments, -1)
+    group, gram, mu = space.group, space.metric.gram, budget.penalty_init
+    cap = min(budget.max_iter, metric.WARM_ITER)
+
+    def run():
+        if hasattr(metric, "_warm"):
+            u = metric._warm(group, gram, targets, controls, mu, cap)
+        else:  # a tree whose warm stage is one L-BFGS-B call on the batch
+            def fun(flat):
+                v, g = metric._penalty_value_grad(
+                    group, gram, flat.reshape(controls.shape), targets, mu)
+                return v, g.ravel()
+
+            u = metric.minimize(
+                fun, controls.ravel(), jac=True, method="L-BFGS-B",
+                options={"maxiter": cap, "ftol": budget.ftol,
+                         "gtol": budget.gtol}).x.reshape(controls.shape)
+        misfit = metric.path_endpoints_batch(group, u) - targets
+        energy = np.einsum("bmi,ij,bmj->", u, gram, u)
+        return rounded(energy + mu * np.sum(misfit * misfit))
+
+    return run
+
+
 def cases(tree, tiny):
     """(name, calls per repeat, function returning the answer, counts)
     per case; ``counts`` is a dict, empty where nothing is counted."""
@@ -169,6 +217,26 @@ def cases(tree, tiny):
             metric.certified_upper_cheap(engel,
                                          [[3e60, 4e60, 1e100, 1e150]]))),
     ]
+    chain = metric.CCSpace(tree["group"].CarnotGroup(filiform(catalog, 5)))
+    fine = metric.OptimizerBudget(segments=24, starts=2, max_iter=30)
+    for name, space, given, B, calls, fold in (
+            ("engel", engel, budget, 2, 20, False),
+            ("engel", engel, budget, 200, 1, False),
+            ("filiform5", chain, measure.MEMBERSHIP_BUDGET, 96, 1, True),
+            ("engel-m24", engel, fine, 2, 5, True)):
+        if tiny:
+            if B > 2 and name == "engel":
+                continue
+            B, calls = 2, 1
+        targets = np.random.default_rng(4).standard_normal(
+            (B // given.starts, space.algebra.dim))
+        out.append((f"warm/{name}/B{B}", calls,
+                    warm_stage(metric, space, given, targets)))
+        if fold:
+            out.append((f"call/{name}/B{B}", calls,
+                        lambda space=space, given=given, targets=targets:
+                        rounded(np.sum(metric.cc_upper_batch(
+                            space, targets, budget=given, seed=5)[0]))))
     for name, space in spaces.items():
         for B in (20,) if tiny else (256, 24320):
             points = 0.5 * np.random.default_rng(3).standard_normal(

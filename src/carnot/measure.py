@@ -39,8 +39,6 @@ MEMBERSHIP_BUDGET = OptimizerBudget(
     starts=1,
     penalty_init=1e4,
     max_iter=120,
-    gtol=1e-9,
-    ftol=1e-14,
 )
 
 

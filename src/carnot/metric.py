@@ -5,19 +5,22 @@ left-invariant controls; a piecewise-constant path integrates exactly
 through the group product, so the only approximation is the optimizer's
 endpoint defect, which an explicit commutator-ladder path closes exactly,
 its length added to the bound.  The optimizer minimizes path energy
-subject to reaching the target: on groups of step >= 3 a short L-BFGS-B
-warm stage on energy plus a penalty on the endpoint misfit, then on every
-group Gauss-Newton projection onto the endpoint constraint and feasible
-SQP per row, whose stationary rows are the discrete normal extremals.
+subject to reaching the target: on groups of step >= 3 a short damped
+Gauss-Newton warm stage on energy plus a penalty on the endpoint misfit,
+then on every group Gauss-Newton projection onto the endpoint constraint
+and feasible SQP, whose stationary rows are the discrete normal
+extremals.  Every stage works per row, so a row's bound has the same bits
+in any batch that draws it the same starts, except where the prefix
+products are formed in blocks of rows (``BLOCK_ROWS``).
 On a group of step <= 3 a path's endpoint is a polynomial of degree <= 3
 in its controls, whose coefficients are formed once per group, step
-count and control dimension; the endpoint, its Jacobian and the misfit's
-gradient are evaluated from them.  Elsewhere (step >= 4, or more than
-``POLY_CONTROLS`` controls) the misfit's gradient and the endpoint's
-Jacobian are pulled back layer by layer: a covector with no content
-above layer 2 pulls back in closed form, against the layer-2 structure
-constants, and only the others go through the closed-form derivative of
-the product (``group.row_series``).  A row with no feasible optimized start
+count and control dimension; the endpoint and its Jacobian are
+evaluated from them.  Elsewhere (step >= 4, or more than
+``POLY_CONTROLS`` controls) the Jacobian's rows are pulled back layer by
+layer: a covector with no content above layer 2 pulls back in closed
+form, against the layer-2 structure constants, and only the others go
+through the closed-form derivative of the product
+(``group.row_series``).  A row with no feasible optimized start
 falls back to the straight segment plus its ladder closure.  Every
 candidate path, optimized or straight, is bounded at unit homogeneous
 norm, through one certify step (``_certify``), and dilated back.
@@ -50,7 +53,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+# not called here: perfbench/spans.py traces the solver by patching
+# ``metric.minimize``, and a traced run fails without it
+from scipy.optimize import minimize  # noqa: F401
 
 from .algebra import GradedAlgebra
 from .errors import CalibrationError, InputError, OptimizerFailure, UnreachableError
@@ -82,10 +87,12 @@ BLOCK_ROWS = 512
 # ``cc_upper_batch`` at N = 32 took 0.84x the fold's time.
 POLY_CONTROLS = 32
 # The path optimizer: iterations of the warm penalty stage (groups of step
-# >= 3 only), the projection onto the endpoint constraint (tolerance
-# relative to 1 + |target|, and Gauss-Newton steps allowed), and the SQP's
-# stopping and line-search constants (``_sqp``).
-WARM_ITER = 30
+# >= 3 only, ``_optimize_controls`` says why 8), the projection onto the
+# endpoint constraint (tolerance relative to 1 + |target|, and
+# Gauss-Newton steps allowed), and the stopping and line-search constants
+# of the SQP (``_sqp``), HALVINGS, ARMIJO and DECREASE_TOL also of the warm
+# stage (``_warm``).
+WARM_ITER = 8
 PROJECT_TOL = 1e-13
 PROJECT_STEPS = 20
 TRIAL_STEPS = 4
@@ -585,8 +592,6 @@ class OptimizerBudget:
     starts: int = 4
     max_iter: int = 250
     penalty_init: float = 1e2
-    gtol: float = 1e-12
-    ftol: float = 1e-15
 
     def __post_init__(self):
         for name in ("segments", "starts", "max_iter"):
@@ -734,32 +739,6 @@ def _pullback(group, z, controls, covectors, layered=0):
                           table.phi)
         parts.append(rows[:, :d].reshape(B, h, m * d))
     return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-
-
-def _penalty_value_grad(group, gram, controls, targets, mu):
-    """Energy + mu * endpoint misfit, with gradient, fully batched.
-
-    ``gram`` is the metric on the controls, which drive the first
-    ``gram.shape[0]`` coordinates of the steps s_j.  The misfit gradient
-    is cbar J for cbar = 2 mu (z_m - target), with the endpoint
-    polynomial's Jacobian where there is one (``_endpoint_polynomial``);
-    elsewhere cbar is pulled back to the controls (``_pullback``).
-    """
-    B, m, d = controls.shape
-    poly = _endpoint_polynomial(group, m, d)
-    if poly is None:
-        z = _prefix_endpoints(group, controls)
-        end = z[:, -1]
-    else:
-        end, J = poly(controls.reshape(B, m * d))
-    gu = controls @ gram
-    energy = np.einsum("bmi,bmi->b", controls, gu)
-    diff = end - targets
-    value = float(energy.sum() + mu * (diff * diff).sum())
-    cbar = 2.0 * mu * diff[:, None]
-    pulled = (_pullback(group, z, controls, cbar) if poly is None
-              else cbar @ J)
-    return value, 2.0 * gu + pulled.reshape(controls.shape)
 
 
 def _endpoint_jacobian(group, controls):
@@ -1101,13 +1080,101 @@ def _sqp(group, gram, targets, tol, controls, c, J, max_iter, stop=None):
     return out
 
 
+def _penalty(group, gram, controls, targets, mu):
+    """Energy + mu |z_m - target|^2 per row, its gradient and dz_m/du.
+
+    ``controls`` is (B, m, d), ``gram`` the metric on the d controls.
+    Returns (value, grad, J): (B,), (B, m * d) and (B, n, m * d), the
+    gradient 2 (I_m x G) u + 2 mu J^T (z_m - target) and J from
+    ``_endpoint_jacobian``.
+    """
+    B, m, d = controls.shape
+    z, J = _endpoint_jacobian(group, controls)
+    u = controls.reshape(B, m * d)
+    gu = (controls @ gram).reshape(B, m * d)
+    diff = z - targets
+    value = (np.einsum("bi,bi->b", u, gu)
+             + mu * np.einsum("bi,bi->b", diff, diff))
+    grad = 2.0 * gu + (2.0 * mu * diff[:, None] @ J)[:, 0]
+    return value, grad, J
+
+
+def _warm(group, gram, targets, controls, mu, max_iter):
+    """Damped Gauss-Newton on the penalty f = energy + mu |z_m - target|^2.
+
+    Each row of the (B, m, d) ``controls`` steps by p = -H^-1 grad f with
+    the Gauss-Newton matrix H = 2 (I_m x G) + 2 mu J^T J, positive
+    definite since G is, and backtracks by Armijo on f (at most
+    ``HALVINGS`` halvings); f, its gradient and J come from ``_penalty``.  A row stops, keeping its last iterate,
+    once its predicted decrease -grad f^T p is at most ``DECREASE_TOL``
+    (1 + f), when no trial is accepted, or after ``max_iter`` iterations.
+    Every operation is per row, so a row's iterates have the same bits in
+    any batch wherever its endpoint and Jacobian do (``BLOCK_ROWS``).
+    Returns the (B, m, d) controls.
+
+    As in ``_sqp`` the working arrays hold only the rows still iterating,
+    and an iteration in which every row accepts its first trial takes the
+    trial's values as they come.
+    """
+    B, m, d = controls.shape
+    N = m * d
+    curvature = np.kron(np.eye(m), 2.0 * gram)
+    out = None  # the returned controls, made at the first partial stop
+    rows = np.arange(B)
+    u = controls.reshape(B, N)
+    f, g, J = _penalty(group, gram, controls, targets, mu)
+    for it in range(max_iter):
+        # the step is p = -q, and the predicted decrease -g^T p is g^T q
+        q = _solve(curvature + 2.0 * mu * (J.transpose(0, 2, 1) @ J), g)
+        dec = np.einsum("bi,bi->b", g, q)
+        trying = np.flatnonzero(dec > DECREASE_TOL * (1.0 + f))
+        new = None
+        moved = np.zeros(len(u), dtype=bool)
+        for h in range(HALVINGS + 1):
+            if not len(trying):
+                break
+            alpha = 0.5 ** h
+            every = len(trying) == len(u)
+            t = slice(None) if every else trying
+            tu = u[t] - alpha * q[t]
+            tf, tg, tJ = _penalty(group, gram, tu.reshape(-1, m, d),
+                                  targets[t], mu)
+            ok = tf <= f[t] - ARMIJO * alpha * dec[t]
+            if every and ok.all():
+                new = tu, tf, tg, tJ
+                moved[:] = True
+                break
+            if new is None:
+                new = tuple(a.copy() for a in (u, f, g, J))
+            hit = trying[ok]
+            for a, v in zip(new, (tu, tf, tg, tJ)):
+                a[hit] = v[ok]
+            moved[hit] = True
+            trying = trying[~ok]
+        if new is not None:
+            u, f, g, J = new
+        keep = moved if it + 1 < max_iter else np.zeros_like(moved)
+        if out is None and not keep.any():
+            return u.reshape(B, m, d)
+        if not keep.all():
+            if out is None:
+                out = np.empty((B, N))
+            out[rows[~keep]] = u[~keep]
+            if not keep.any():
+                break
+            rows, targets, u, f, g, J = (a[keep] for a in
+                                         (rows, targets, u, f, g, J))
+    return out.reshape(B, m, d)
+
+
 def _optimize_controls(group, gram, targets, controls0, budget, stop=None):
     """Minimum-energy controls reaching the targets, per row.
 
     targets: (B, n); controls0: (B, m, d) with d = gram.shape[0].  On a
-    group of step >= 3 a warm L-BFGS-B stage minimizes energy +
-    penalty_init * |z_m - target|^2 over the flattened batch (at most
-    ``WARM_ITER`` iterations); elsewhere the warm point is ``controls0``.
+    group of step >= 3 a warm stage of damped Gauss-Newton steps per row
+    descends on energy + penalty_init * |z_m - target|^2 (``_warm``, at
+    most ``WARM_ITER`` iterations); elsewhere the warm point is
+    ``controls0``.
     Each row is projected once from its warm point onto z_m(u) = target
     by Gauss-Newton steps, and the projected rows descend by feasible SQP
     (``_sqp``).  A row whose projection fails keeps its warm point, with
@@ -1119,26 +1186,23 @@ def _optimize_controls(group, gram, targets, controls0, budget, stop=None):
     point or an SQP iterate, and ``stop.floored`` marks the rows the floor
     stopped.
     """
-    B, m, d = controls0.shape
+    B = len(controls0)
     tol = PROJECT_TOL * (1.0 + np.linalg.norm(targets, axis=-1))
     warm = controls0
-    # On step-2 groups (Heisenberg, free2-d, abelian: 3,000 rows at three
-    # budgets; 200 rows of the Heisenberg completion) the warm stage moved
-    # no bound by more than 1e-12 relative and took about 30% of a
-    # Heisenberg solve.  Without it the worst of 48 Engel bounds at the
-    # (12, 2, max_iter 30) budget went from 2.0% to 21.5% above the
-    # best-known ones.
+    # On step-2 groups (Heisenberg and free2-3, 200 rows at the membership
+    # and the (12, 2, max_iter 30) budgets) the warm stage moves no bound
+    # by more than 1.3e-12 relative and adds 14-29% to the solve.  Without
+    # it the worst of 96 Engel bounds (the 16 stored targets of
+    # perfbench/engel_reference.json, solver seeds 0-5) at (12, 2, 30)
+    # goes from 2.02% to 30.9% above the best-known ones.  Those bounds
+    # are the same from a cap of 2 iterations up, and the 96 calls take
+    # the least time at 6-8 (8: 0.51 s, 30: 0.66 s, 1 BLAS thread).  At
+    # the membership budget 200 random Engel targets read 0.34% above
+    # their cap-30 bounds on average at a cap of 2, and 0.00-0.05% at
+    # 4-8.
     if group.algebra.num_layers > 2:
-        def fun(flat):
-            v, g = _penalty_value_grad(group, gram, flat.reshape(B, m, d),
-                                       targets, budget.penalty_init)
-            return v, g.ravel()
-
-        # the result's curvature pairs are not kept
-        warm = minimize(fun, controls0.ravel(), jac=True, method="L-BFGS-B",
-                        options={"maxiter": min(budget.max_iter, WARM_ITER),
-                                 "ftol": budget.ftol, "gtol": budget.gtol},
-                        ).x.reshape(B, m, d)
+        warm = _warm(group, gram, targets, controls0, budget.penalty_init,
+                     min(budget.max_iter, WARM_ITER))
     controls, c, J, ok = _project(group, warm, targets, tol, PROJECT_STEPS)
     controls[~ok] = warm[~ok]
     if stop is not None:
@@ -1267,8 +1331,9 @@ def _bound_rows(space: CCSpace, starts: _Starts, chunk, pick=slice(None),
     as unit-duration control displacements, (len(rows), k, d1), and
     ``floored`` the rows with a start that the ``floor`` (one per row)
     stopped, whose bound is then certified below the floor (``_Stop``).
-    On a group of step 2 a row's bound does not depend on the other rows;
-    on step >= 3 the warm stage minimizes over the whole batch.
+    A row's bound does not depend on the other rows up to
+    ``POLY_CONTROLS`` controls; above it the block size of the prefix
+    products on 3-layer groups follows the batch (``BLOCK_ROWS``).
     """
     budget = starts.budget
     rows, inits = starts.chunks[chunk]
@@ -1409,14 +1474,12 @@ def cc_upper_max(space: CCSpace, targets, budget=None, seed=0):
 
     ``targets`` is (cells, k, n).  Returns (upper, floored): ``upper``
     (cells,) is ``cc_upper_batch`` on the flattened batch, reshaped to
-    (cells, k) and maximized over axis 1.  It has the same bits on groups
-    of step 2.  On 3-layer groups the joint warm stage couples the rows
-    of the flattened batch in both, and above ``POLY_CONTROLS`` controls
-    the block size of the prefix products follows the live rows
-    (``BLOCK_ROWS``), which moves it by roundoff.
-    ``floored`` (cells, k) marks the rows a floor stopped.  Raises
-    OptimizerFailure where ``cc_upper_batch`` does, with the flattened
-    batch's residuals.
+    (cells, k) and maximized over axis 1, with the same bits up to
+    ``POLY_CONTROLS`` controls; above it the block size of the prefix
+    products on 3-layer groups follows the live rows (``BLOCK_ROWS``),
+    which moves it by roundoff.  ``floored`` (cells, k) marks the rows a
+    floor stopped.  Raises OptimizerFailure where ``cc_upper_batch``
+    does, with the flattened batch's residuals.
 
     The maxima are found by branch and bound over the rows, from the
     starts the flattened batch draws (``_draw_starts``).  A cell's floor
@@ -1424,13 +1487,9 @@ def cc_upper_max(space: CCSpace, targets, budget=None, seed=0):
     cell's maximum does not read below by ``CEILING_SLACK``, and a row
     stops as soon as its energy certifies that it cannot reach its cell's
     floor (``_Stop``): its bound is then below the cell's maximum, and a
-    row that can set the maximum runs the solver to the end.  On step-2 groups, where a row's
-    bound does not depend on its batch-mates, each cell's row with the
-    largest lower bound is bounded first and its bound raises the cell's
-    floor; then the other rows are bounded.  On step >= 3 every row is
-    bounded in one batch against the lower-bound floors, since there the
-    warm stage minimizes over the whole batch and a row's bound can move
-    by far more than roundoff with its batch-mates.
+    row that can set the maximum runs the solver to the end.  Each cell's
+    row with the largest lower bound is bounded first and its bound
+    raises the cell's floor; then the other rows are bounded.
     """
     if budget is None:
         budget = OptimizerBudget()
@@ -1445,13 +1504,9 @@ def cc_upper_max(space: CCSpace, targets, budget=None, seed=0):
     upper = np.zeros(cells * k)
     residual = np.zeros(cells * k)
     floored = np.zeros(cells * k, dtype=bool)
-    if space.algebra.num_layers <= 2:
-        lead = np.zeros(cells * k, dtype=bool)
-        lead[np.argmax(lower, axis=1) + k * np.arange(cells)] = True
-        rounds = [lead, ~lead]
-    else:
-        rounds = [np.ones(cells * k, dtype=bool)]
-    for chosen in rounds:
+    lead = np.zeros(cells * k, dtype=bool)
+    lead[np.argmax(lower, axis=1) + k * np.arange(cells)] = True
+    for chosen in (lead, ~lead):
         for chunk, (idx, _) in enumerate(starts.chunks):
             pick = np.flatnonzero(chosen[idx])
             if len(pick):

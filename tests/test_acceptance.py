@@ -38,7 +38,7 @@ SAMPLES_PER_RADIUS = 200_000
 RADII = [0.5, 0.5 * 4.0**0.25, 1.0, 0.5 * 4.0**0.75, 2.0]
 
 BUDGET = OptimizerBudget(segments=8, starts=2, penalty_init=1e4,
-                         max_iter=150, gtol=1e-10)
+                         max_iter=150)
 
 
 def report(capsys, num, ok, detail):

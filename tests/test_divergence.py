@@ -19,7 +19,7 @@ from carnot.errors import InputError
 from carnot.metric import CCSpace, OptimizerBudget
 
 FAST = OptimizerBudget(segments=8, starts=2, penalty_init=1e4,
-                       max_iter=150, gtol=1e-10)
+                       max_iter=150)
 
 
 def test_default_t_grid():

@@ -24,7 +24,7 @@ from carnot.metric import (
     _endpoint_jacobian,
     _initial_controls,
     _optimize_controls,
-    _penalty_value_grad,
+    _penalty,
     _prefix_endpoints,
     _pullback,
     calibrate_ballbox,
@@ -43,7 +43,7 @@ from carnot.measure import MEMBERSHIP_BUDGET, enclosing_box_halfwidths
 from oracles import heisenberg_distance, min_loop_length
 
 FAST = OptimizerBudget(segments=8, starts=2, penalty_init=1e4,
-                       max_iter=150, gtol=1e-10)
+                       max_iter=150)
 
 
 def test_horizontal_metric_validation():
@@ -379,14 +379,14 @@ def test_anisotropic_metric_distance():
 
 
 def _fold_penalty(group, gram, controls, targets, mu):
-    """The penalty objective by an explicit left-to-right product."""
+    """The penalty objective per row by an explicit left-to-right product."""
     d = gram.shape[0]
-    value = 0.0
-    for u, target in zip(controls, targets):
+    value = np.zeros(len(controls))
+    for b, (u, target) in enumerate(zip(controls, targets)):
         steps = np.zeros((len(u), group.dim))
         steps[:, :d] = u
         misfit = group.bch_many(steps) - target
-        value += np.einsum("mi,ij,mj->", u, gram, u) + mu * misfit @ misfit
+        value[b] = np.einsum("mi,ij,mj->", u, gram, u) + mu * misfit @ misfit
     return value
 
 
@@ -449,9 +449,9 @@ def test_penalty_gradient_matches_finite_differences(case, filiform, rng):
     controls = 0.5 * rng.standard_normal((2, 5, gram.shape[0]))
     targets = rng.standard_normal((2, algebra.dim))
     mu = 10.0
-    value, grad = _penalty_value_grad(group, gram, controls, targets, mu)
-    assert value == pytest.approx(
-        _fold_penalty(group, gram, controls, targets, mu), rel=1e-12)
+    value, grad, _ = _penalty(group, gram, controls, targets, mu)
+    np.testing.assert_allclose(
+        value, _fold_penalty(group, gram, controls, targets, mu), rtol=1e-12)
     h = 1e-6
     fd = np.zeros_like(controls)
     for idx in np.ndindex(*controls.shape):
@@ -459,8 +459,8 @@ def test_penalty_gradient_matches_finite_differences(case, filiform, rng):
         step[idx] = h
         fd[idx] = (_fold_penalty(group, gram, controls + step, targets, mu)
                    - _fold_penalty(group, gram, controls - step, targets, mu)
-                   ) / (2 * h)
-    np.testing.assert_allclose(grad, fd, rtol=1e-6,
+                   )[idx[0]] / (2 * h)
+    np.testing.assert_allclose(grad.reshape(controls.shape), fd, rtol=1e-6,
                                atol=1e-6 * np.max(np.abs(fd)))
 
 
@@ -545,10 +545,11 @@ def test_pullback_layers_match_series(case, filiform, rng):
     gram = np.eye(d)
     targets = rng.standard_normal((B, n))
     mu = 10.0
-    _, grad = _penalty_value_grad(group, gram, controls, targets, mu)
+    _, grad, _ = _penalty(group, gram, controls, targets, mu)
     pulled = _series_pullback(group, controls,
                               2.0 * mu * (end - targets)[:, None])
-    check(grad, 2.0 * controls + pulled.reshape(controls.shape))
+    check(grad.reshape(controls.shape),
+          2.0 * controls + pulled.reshape(controls.shape))
 
 
 POLYNOMIAL_GROUPS = ["heisenberg", "engel", "abelian3", "free2-3"]
@@ -765,13 +766,13 @@ def test_unmet_radius_changes_nothing(heis, engel_space):
 
 def test_warm_stage_runs_only_above_step_two(heis, engel_space, monkeypatch,
                                             rng):
-    # step-2 groups project their starts directly; Engel runs L-BFGS-B
-    lbfgs = metric.minimize
+    # step-2 groups project their starts directly; Engel runs the warm stage
+    warm = metric._warm
 
     def refuse(*args, **kwargs):
         raise AssertionError("warm stage ran on a step-2 group")
 
-    monkeypatch.setattr(metric, "minimize", refuse)
+    monkeypatch.setattr(metric, "_warm", refuse)
     for space in (heis, CCSpace(catalog.get("free2-3"))):
         targets = rng.standard_normal((10, space.algebra.dim))
         for radius in (None, 1.0):
@@ -782,9 +783,9 @@ def test_warm_stage_runs_only_above_step_two(heis, engel_space, monkeypatch,
 
     def count(*args, **kwargs):
         calls.append(1)
-        return lbfgs(*args, **kwargs)
+        return warm(*args, **kwargs)
 
-    monkeypatch.setattr(metric, "minimize", count)
+    monkeypatch.setattr(metric, "_warm", count)
     cc_upper_batch(engel_space, rng.standard_normal((4, 4)), budget=FAST,
                    seed=31)
     assert calls
@@ -845,10 +846,7 @@ def test_calibration_keeps_the_full_maximum(case, samples, seed):
         space = CCSpace(catalog.get(case))
     got = calibrate_ballbox(space, samples, seed)
     want = _calibration_reference(space, samples, seed)
-    if case == "engel":  # the warm stage minimizes over the whole batch
-        assert got.max_ratio == pytest.approx(want, rel=1e-9)
-    else:
-        assert got.max_ratio == want
+    assert got.max_ratio == want
 
 
 def test_calibration_bounds_few_samples(heis, monkeypatch):
@@ -864,10 +862,11 @@ def test_calibration_bounds_few_samples(heis, monkeypatch):
     assert 0 < sum(rows) <= 25
 
 
-@pytest.mark.parametrize("case", ["heisenberg", "heisenberg-gram", "free2-3"])
+@pytest.mark.parametrize("case", ["heisenberg", "heisenberg-gram", "free2-3",
+                                  "engel"])
 def test_row_bound_ignores_its_batch_mates(case):
-    # on step-2 groups a row bounded inside a permuted subset of the batch,
-    # from the batch's starts, has the bits of its bound in the whole batch
+    # a row bounded inside a permuted subset of the batch, from the batch's
+    # starts, has the bits of its bound in the whole batch
     if case == "heisenberg-gram":
         space = CCSpace(catalog.heisenberg(),
                         HorizontalMetric([[2.0, 0.3], [0.3, 1.0]]))
@@ -901,8 +900,7 @@ def _cell_targets(space, cells, k, seed):
                                   "free2-4", "abelian3", "engel"])
 def test_cc_upper_max_keeps_the_batch_maxima(case):
     # the rows a floor stops are certified below their cell's maximum, so
-    # the maxima are those of the whole batch; on Engel the warm stage and
-    # the block size of the prefix products see the live rows
+    # the maxima are those of the whole batch
     space = _space(case)
     targets = _cell_targets(space, 8, 12, 40)
     got, floored = cc_upper_max(space, targets, budget=MEMBERSHIP_BUDGET,
@@ -911,10 +909,7 @@ def test_cc_upper_max_keeps_the_batch_maxima(case):
                              budget=MEMBERSHIP_BUDGET, seed=41)
     want = full.reshape(8, 12).max(axis=1)
     assert floored.shape == (8, 12) and np.any(floored)
-    if case == "engel":
-        np.testing.assert_allclose(got, want, rtol=1e-8)
-    else:
-        assert np.array_equal(got, want)
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("case", ["heisenberg", "free2-3"])
