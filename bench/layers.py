@@ -46,7 +46,19 @@ Cases, at the ``engel-distance`` budget (12 segments, 2 starts,
   the box of ``calibrate_ballbox(100 samples, seed 1000)`` or in the
   certified box; the answer adds the sum of the sampled points.  Its
   ``counts`` are the sampler's calls of ``lower_bounds_batch`` and
-  ``certified_upper_cheap`` in one call.
+  ``certified_upper_cheap`` in one call;
+- ``spread/heisenberg``: ``cc_upper_max`` at ``MEMBERSHIP_BUDGET``, seed 1,
+  on the 12 x 64 cells of the CLI's default spread along X (epsilon grid
+  0.4, 0.2, 0.1, 0.05, t grid 1:4:3, ends drawn at seed 0); the answer is
+  the cells' maxima and the number of floored rows;
+- ``derivate/heisenberg/cc/<box>``: ``derivate`` of ``cc_distance`` at 0
+  along X on the default t-grid, 64 samples per level, seed 0, in the two
+  boxes above; the answer is the two derivates and every level's extreme
+  quotients.
+
+The last three cases' ``counts`` give the rows one call sends through the
+path solver (``_optimize_controls``) and through the straight-segment
+ladder (``_straight_ladder``, which ``certified_upper_cheap`` runs).
 """
 
 import os
@@ -82,25 +94,27 @@ def load_tree(src, name):
     sys.modules[name] = module
     spec.loader.exec_module(module)
     return {part: importlib.import_module(f"{name}.{part}")
-            for part in ("catalog", "derivate", "group", "measure", "metric")}
+            for part in ("catalog", "cli", "derivate", "group", "measure",
+                         "metric")}
 
 
 def rounded(values):
     return [float(f"{v:.12g}") for v in np.ravel(values)]
 
 
-def counted_calls(module, names, fn):
-    """fn()'s calls of the functions ``names`` that ``module`` looks up."""
-    counts = dict.fromkeys(names, 0)
-    originals = {name: getattr(module, name) for name in names}
+def counted(module, counters, fn):
+    """fn()'s counts: ``counters`` maps the name of a function that
+    ``module`` looks up to the count one call adds, from its arguments."""
+    counts = dict.fromkeys(counters, 0)
+    originals = {name: getattr(module, name) for name in counters}
 
     def counting(name):
         def call(*args, **kwargs):
-            counts[name] += 1
+            counts[name] += counters[name](*args)
             return originals[name](*args, **kwargs)
         return call
 
-    for name in names:
+    for name in counters:
         setattr(module, name, counting(name))
     try:
         fn()
@@ -108,6 +122,17 @@ def counted_calls(module, names, fn):
         for name, original in originals.items():
             setattr(module, name, original)
     return counts
+
+
+def one(*args):
+    return 1
+
+
+# the rows a call sends through the path solver and through the ladder
+SOLVER_LADDER_ROWS = {
+    "_optimize_controls": lambda group, gram, targets, *rest: len(targets),
+    "_straight_ladder": lambda space, points, *rest: len(points),
+}
 
 
 def lower_bound(metric, space, points):
@@ -265,8 +290,38 @@ def cases(tree, tiny):
             return rounded([est.rho_lower, est.rho_upper, *seen])
 
         out.append((f"derivate/heisenberg/{box}", 1 if tiny else 3, estimate,
-                    counted_calls(lab, ("lower_bounds_batch",
-                                        "certified_upper_cheap"), estimate)))
+                    counted(lab, {"lower_bounds_batch": one,
+                                  "certified_upper_cheap": one}, estimate)))
+    x_dir = np.array([1.0, 0.0, 0.0])
+    samples = 8 if tiny else 64
+    rng = np.random.default_rng(0)
+    cells = [(eps, t) for eps in tree["cli"].parse_grid("0.4,0.2,0.1,0.05")
+             for t in tree["cli"].parse_grid("1:4:3")]
+    ends = np.concatenate([
+        measure.sample_end(heis, measure.BoxSpec(np.zeros(3), t * x_dir,
+                                                 t * eps), samples, rng)
+        for eps, t in cells])
+    legs = np.repeat([t for _, t in cells], samples)[:, None] * x_dir
+    targets = heis.group.conjugate(legs, ends).reshape(len(cells), samples, 3)
+
+    def spread():
+        sups, floored = metric.cc_upper_max(
+            heis, targets, budget=measure.MEMBERSHIP_BUDGET, seed=1)
+        return rounded([*sups, np.sum(floored)])
+
+    out.append(("spread/heisenberg", 1 if tiny else 5, spread,
+                counted(metric, SOLVER_LADDER_ROWS, spread)))
+    for box, given in (("calibrated", ballbox), ("certified", None)):
+        def cc_estimate(given=given):
+            est = lab.derivate(heis, lab.cc_distance(heis, given),
+                               np.zeros(3), x_dir, samples_per_t=samples,
+                               seed=0, ballbox=given)
+            return rounded([est.rho_lower, est.rho_upper,
+                            *[q for r in est.rows for q in r[1:3]]])
+
+        out.append((f"derivate/heisenberg/cc/{box}", 1 if tiny else 3,
+                    cc_estimate, counted(metric, SOLVER_LADDER_ROWS,
+                                         cc_estimate)))
     return [case if len(case) == 4 else case + ({},) for case in out]
 
 

@@ -14,9 +14,13 @@ Each lab draws all of its samples first and evaluates the distance
 once on the whole set, so the path solver's and the ladder's fixed
 costs are paid once per call.  The derivate samples every level in one
 ball-sampler call: the levels take their candidates from one stream of
-uniform tries, drawn in blocks, and the ladder runs only on those the
-certified lower bound keeps.  The samples are those of a per-level
-loop drawing and testing one try at a time.
+uniform tries, drawn in blocks, and the ladder runs only on those that
+the certified lower bound and the ladder's closed-form floor keep.  The
+samples are those of a per-level loop drawing and testing one try at a
+time.  Certified bounds decide rows before the path solver: d_cc sends
+to it only the pairs whose bracket the ladder leaves open, and the
+spread only the samples whose ladder bound can still reach their
+cell's maximum.
 """
 
 from __future__ import annotations
@@ -28,9 +32,11 @@ import numpy as np
 
 from .errors import InputError, LipschitzViolation
 from .metric import (
+    CEILING_SLACK,
     CCSpace,
     cc_upper_batch,
     cc_upper_max,
+    ladder_floor,
     lower_bounds_batch,
     riemannian_upper_batch,
 )
@@ -83,15 +89,21 @@ def cc_distance(space: CCSpace, ballbox=None, seed=0) -> LipschitzDistance:
 
     Reports the midpoint of the certified bracket: the combined lower
     bound, and the smaller of the cheap ladder bound and the path
-    solver's bound with ``MEMBERSHIP_BUDGET``.
+    solver's bound with ``MEMBERSHIP_BUDGET``.  Only the pairs whose
+    ladder bound exceeds the lower bound by more than ``CEILING_SLACK``,
+    relative, go to the solver, in one batch; on a radial pair the two
+    meet to roundoff, and the ladder bound is its upper bound.
     """
 
     def evaluator(xs, ys):
         deltas = _canonical_deltas(space, xs, ys)
         lower = lower_bounds_batch(space, deltas, ballbox)
-        upper, _ = cc_upper_batch(space, deltas, budget=MEMBERSHIP_BUDGET,
-                                  seed=seed)
-        upper = np.minimum(upper, certified_upper_cheap(space, deltas))
+        upper = certified_upper_cheap(space, deltas)
+        undecided = upper > lower * (1.0 + CEILING_SLACK)
+        if np.any(undecided):
+            solved, _ = cc_upper_batch(space, deltas[undecided],
+                                       budget=MEMBERSHIP_BUDGET, seed=seed)
+            upper[undecided] = np.minimum(upper[undecided], solved)
         return 0.5 * (np.minimum(lower, upper) + upper)
 
     return LipschitzDistance(name="cc-midpoint", evaluator=evaluator, L=1.0,
@@ -169,11 +181,13 @@ def sample_ball(space: CCSpace, center, radii, count, rng, ballbox,
     nothing has been accepted, then is sized from the acceptance rate so
     far: every box and ball is a dilation of the first, so the rate is
     the same at every radius.  Only candidates whose certified lower
-    bound is within the radius reach the ladder; the lower bound is
-    below the cheap upper one, so this rejects no member.  The generator
-    is rewound once, at the end, to the end of the last try used, so the
-    points, a starved radius's error and ``rng``'s state afterwards are
-    those of drawing and testing one try at a time, radius after radius.
+    bound and closed-form ladder floor (``ladder_floor``) are within the
+    radius reach the ladder; both are below the cheap upper bound, the
+    floor provably so as computed, so this rejects no member.  The
+    generator is rewound once, at the end, to the end of the last try
+    used, so the points, a starved radius's error and ``rng``'s state
+    afterwards are those of drawing and testing one try at a time, radius
+    after radius.
     """
     center = space.algebra.vector(center)
     per_try, dim = max(4 * count, 256), space.algebra.dim
@@ -199,6 +213,7 @@ def sample_ball(space: CCSpace, center, radii, count, rng, ballbox,
                 cand = pool[: block * per_try] * half
                 rows = np.flatnonzero(lower_bounds_batch(space, cand)
                                       <= radius)
+                rows = rows[ladder_floor(space, cand[rows]) <= radius]
                 rows = rows[certified_upper_cheap(space, cand[rows]) <= radius]
                 rows = rows[: count - have]
                 out.append(cand[rows])
@@ -368,9 +383,11 @@ def spread_estimate(space: CCSpace, v, epsilon_grid, t_grid, samples=64,
     The cells' ends are drawn in (epsilon, t) order from one generator
     and their suprema are taken in one ``cc_upper_max`` call with
     ``MEMBERSHIP_BUDGET``: a branch and bound that runs the path solver to
-    the end only on the samples that can still set their cell's supremum.
-    On step-2 groups the suprema have the bits of bounding every sample
-    with ``cc_upper_batch`` in one batch and taking each cell's maximum.
+    the end only on the samples that can still set their cell's supremum,
+    and decides by the ladder bound those whose ladder bound is below the
+    cell's floor.  On step-2 groups the suprema have the bits of bounding
+    every sample by min(``cc_upper_batch``, ``certified_upper_cheap``), the
+    former in one batch, and taking each cell's maximum.
     """
     v = space.algebra.vector(v)
     if np.any(np.abs(v[space.d1:]) > 0):

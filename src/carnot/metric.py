@@ -53,9 +53,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-# not called here: perfbench/spans.py traces the solver by patching
-# ``metric.minimize``, and a traced run fails without it
-from scipy.optimize import minimize  # noqa: F401
 
 from .algebra import GradedAlgebra
 from .errors import CalibrationError, InputError, OptimizerFailure, UnreachableError
@@ -107,6 +104,20 @@ DECREASE_TOL = 1e-14
 # ceiling is 1) by roundoff or by the residual a path is accepted at,
 # ``ACCEPT_TOL`` (1 + |target|) at unit homogeneous norm.
 CEILING_SLACK = 1e-8
+# Relative margin by which ``ladder_floor`` stays below the cheap bound: it
+# covers the roundoff of a few hundred operations, far more than either
+# side takes.
+FLOOR_SLACK = 2.0 ** -40
+
+
+def __getattr__(name):
+    # ``metric.minimize`` is not called here: perfbench/spans.py traces the
+    # solver by patching it, and a traced run fails without it.  Looked up
+    # only then, so importing carnot does not load scipy.optimize.
+    if name == "minimize":
+        from scipy.optimize import minimize
+        return minimize
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class HorizontalMetric:
@@ -476,10 +487,15 @@ class LadderPlan:
                     f"layer-1 basis directions"
                 )
             mat = np.array(columns).T  # (dp, nwords)
+            letters = [_loop_letters(w) for w in words]
             self.layers[p] = {
                 "words": words,
                 "pinv": np.linalg.pinv(mat),
-                "letters": [_loop_letters(w) for w in words],
+                "letters": letters,
+                # each word's loop length per unit of its scale
+                "lengths": np.array([sum(self.letter_lengths[letter]
+                                         for letter, _, _ in word)
+                                     for word in letters]),
             }
 
     def loop_batch(self, p, coeffs):
@@ -508,6 +524,39 @@ class LadderPlan:
                 controls.append(u)
                 lengths += s * self.letter_lengths[letter]
         return controls, lengths
+
+    def layer2_floor(self, unit):
+        """Per row of ``unit`` (B, n), at most the layer-2 length that the
+        first pass of ``close_defect_batch`` adds to the straight segment's
+        endpoint (x_1, 0, ...), roundoff included.
+
+        The pass moves a row only if its defect exceeds ``EXACT_TOL``
+        (1 + |x|), and the row's layer-2 defect is x_2 + [-x_1, x_1] / 2 as
+        computed: the bracket is 0 but for roundoff, at most (K + 2) u
+        |x_1|^T |c^l| |x_1| in coordinate l for the K nonzero structure
+        constants and u = 2^-53, and the sum adds u |x_2|.  A row counts
+        only if |x_2| exceeds the tolerance by more than that roundoff.
+        Then each word's |lambda_w| = |pinv_w x_2| is lowered by |pinv_w|
+        against 8x the roundoff bound, which also covers the products with
+        the pseudo-inverse, and the word's loop adds at least the square
+        root of that times its loop length.
+        """
+        space, info = self.space, self.layers[2]
+        x1 = np.abs(unit[:, : space.d1])
+        x2 = unit[:, space.algebra.layer_slice(2)]
+        kernel = space.group.table.layer2
+        spread = np.dot(kernel.factor(x1) * np.dot(x1, kernel.sj),
+                        np.abs(kernel.rl))
+        terms = len(space.algebra.kernel.rl)  # K
+        roundoff = 2.0 ** -50 * ((x2.shape[-1] + 2) * np.abs(x2)
+                                 + (terms + 2) * spread)
+        off = EXACT_TOL * (1.0 + _unsquared(_euclid, unit))
+        moved = (_euclid(x2) * (1.0 - FLOOR_SLACK) - np.sum(roundoff, axis=-1)
+                 > off * (1.0 + FLOOR_SLACK))
+        lam = np.abs(np.einsum("wd,...d->...w", info["pinv"], x2))
+        lam -= (1.0 + FLOOR_SLACK) * (roundoff @ np.abs(info["pinv"]).T)
+        loops = np.sqrt(np.maximum(lam, 0.0)) @ info["lengths"]
+        return np.where(moved, loops, 0.0)
 
 
 def close_defect_batch(space: CCSpace, endpoints, targets, collect=False):
@@ -1433,6 +1482,26 @@ def certified_upper_cheap(space: CCSpace, points):
     return _straight_ladder(space, points)[0]
 
 
+def ladder_floor(space: CCSpace, points):
+    """Per point, a closed-form floor under ``certified_upper_cheap``.
+
+    At the unit homogeneous norm and with the dilation that the cheap
+    bound takes, the straight segment's length plus the layer-2 loops of
+    the closure's first pass (``LadderPlan.layer2_floor``), less
+    ``FLOOR_SLACK`` relative: every later move only adds length, so the
+    floor never exceeds the cheap bound's computed value.  It forms no
+    group product, so a point it puts above a radius skips the ladder.
+    """
+    points = np.atleast_2d(space.algebra.vector(points))
+    scales = space.homogeneous_norm(points)
+    live = np.isfinite(scales) & (scales > 0)
+    unit = _dilated_to_unit(space, points, scales, live)
+    floor = space.metric.norm(unit[:, : space.d1])
+    if space.algebra.num_layers > 1:
+        floor = floor + space.ladder().layer2_floor(unit)
+    return floor * (1.0 - FLOOR_SLACK) * np.where(live, scales, 1.0)
+
+
 def cc_upper_batch(space: CCSpace, targets, budget=None, seed=0,
                    radius=None):
     """Certified upper bounds d_cc(e^0, target) for a batch of targets.
@@ -1473,23 +1542,27 @@ def cc_upper_max(space: CCSpace, targets, budget=None, seed=0):
     """Per cell, the largest certified upper bound over the cell's targets.
 
     ``targets`` is (cells, k, n).  Returns (upper, floored): ``upper``
-    (cells,) is ``cc_upper_batch`` on the flattened batch, reshaped to
-    (cells, k) and maximized over axis 1, with the same bits up to
-    ``POLY_CONTROLS`` controls; above it the block size of the prefix
-    products on 3-layer groups follows the live rows (``BLOCK_ROWS``),
-    which moves it by roundoff.  ``floored`` (cells, k) marks the rows a
-    floor stopped.  Raises OptimizerFailure where ``cc_upper_batch``
-    does, with the flattened batch's residuals.
+    (cells,) is, per row, the smaller of ``cc_upper_batch`` on the
+    flattened batch and ``certified_upper_cheap``, reshaped to (cells, k)
+    and maximized over axis 1, with the same bits up to ``POLY_CONTROLS``
+    controls; above it the block size of the prefix products on 3-layer
+    groups follows the live rows (``BLOCK_ROWS``), which moves it by
+    roundoff.  ``floored`` (cells, k) marks the rows a floor stopped or
+    decided.  Raises OptimizerFailure where ``cc_upper_batch`` does, with
+    the flattened batch's residuals (0 on a row the ladder decided).
 
     The maxima are found by branch and bound over the rows, from the
     starts the flattened batch draws (``_draw_starts``).  A cell's floor
     starts at the largest certified lower bound of its rows, which the
-    cell's maximum does not read below by ``CEILING_SLACK``, and a row
-    stops as soon as its energy certifies that it cannot reach its cell's
-    floor (``_Stop``): its bound is then below the cell's maximum, and a
-    row that can set the maximum runs the solver to the end.  Each cell's
-    row with the largest lower bound is bounded first and its bound
-    raises the cell's floor; then the other rows are bounded.
+    cell's maximum does not read below by ``CEILING_SLACK``.  Each cell's
+    row with the largest lower bound is bounded first, and its bound
+    raises the cell's floor.  Then every row gets its ladder bound, and a
+    row whose ladder bound is below its cell's floor by more than
+    ``CEILING_SLACK`` is decided by it: it cannot set the maximum, and
+    reaches no solver.  The other rows are bounded, each stopping as soon
+    as its energy certifies that it cannot reach its cell's floor
+    (``_Stop``), so only a row that can set the maximum runs the solver to
+    the end.
     """
     if budget is None:
         budget = OptimizerBudget()
@@ -1506,14 +1579,23 @@ def cc_upper_max(space: CCSpace, targets, budget=None, seed=0):
     floored = np.zeros(cells * k, dtype=bool)
     lead = np.zeros(cells * k, dtype=bool)
     lead[np.argmax(lower, axis=1) + k * np.arange(cells)] = True
-    for chosen in (lead, ~lead):
+
+    def bound(chosen):
         for chunk, (idx, _) in enumerate(starts.chunks):
             pick = np.flatnonzero(chosen[idx])
             if len(pick):
                 rows = idx[pick]
                 upper[rows], residual[rows], _, floored[rows] = _bound_rows(
                     space, starts, chunk, pick, floor=floor[rows // k])
-        floor = np.maximum(floor, np.max(upper.reshape(cells, k), axis=1))
+
+    bound(lead)
+    ladder = certified_upper_cheap(space, starts.targets)
+    upper = np.minimum(upper, ladder)
+    floor = np.maximum(floor, np.max(upper.reshape(cells, k), axis=1))
+    decided = ~lead & (ladder < np.repeat(floor, k) * (1.0 - CEILING_SLACK))
+    upper[decided], floored[decided] = ladder[decided], True
+    bound(~lead & ~decided)
+    upper = np.minimum(upper, ladder)
     _check_finite(upper, residual)
     return np.max(upper.reshape(cells, k), axis=1), floored.reshape(cells, k)
 

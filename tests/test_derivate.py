@@ -25,7 +25,7 @@ from carnot.measure import (
     certified_upper_cheap,
     enclosing_box_halfwidths,
 )
-from carnot.metric import cc_upper_batch
+from carnot.metric import CCSpace, cc_upper_batch
 from oracles import check_homogeneity, check_lipschitz
 
 # the package root re-exports the function ``derivate``
@@ -260,6 +260,24 @@ def test_sample_ball_matches_one_try_at_a_time(heis, heis_ballbox, box,
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
+def test_sample_ball_matches_one_try_at_a_time_on_free2_3():
+    # the certified box accepts about 2 free2-3 candidates in 1e6 at every
+    # radius (every box and ball is a dilation of the first), so one point
+    # takes a few hundred tries and most calls starve; at seeds 337 and 537
+    # both radii get theirs.  Nearly every candidate past the lower bound
+    # is rejected by the ladder floor before the ladder
+    space = CCSpace(catalog.get("free2-3"))
+    center = np.array([0.2, -0.1, 0.3, 0.4, -0.2, 0.1])
+    for seed in (337, 537):
+        want_rng = np.random.default_rng(seed)
+        got_rng = np.random.default_rng(seed)
+        want = _sample_balls_one_at_a_time(space, center, [0.3, 1.0], 1,
+                                           want_rng, None)
+        got = sample_ball(space, center, [0.3, 1.0], 1, got_rng, None)
+        assert np.array_equal(got, want)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
 def test_sample_ball_starves_after_max_tries_on_engel(engel_space):
     # the straight-segment ladder bound accepts about 1 Engel candidate in
     # 1e5 from the certified box, so 30 tries of 256 find none
@@ -286,6 +304,35 @@ def test_sample_ball_starves_at_a_later_radius(engel_space):
                     max_tries=30)
     assert str(got.value) == str(want.value)
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_cc_derivate_of_radial_pairs_runs_no_solver(heis, heis_ballbox,
+                                                    monkeypatch):
+    # every sampled pair is radial, so its ladder bound meets its lower
+    # bound and no row reaches the path solver; a pair the ladder leaves
+    # open goes there alone
+    calls = []
+
+    def counted(space, targets, **kwargs):
+        calls.append(len(targets))
+        return cc_upper_batch(space, targets, **kwargs)
+
+    monkeypatch.setattr(derivate_lab, "cc_upper_batch", counted)
+    for ballbox in (heis_ballbox, None):
+        d = cc_distance(heis, ballbox=ballbox)
+        est = derivate(heis, d, np.array([0.2, -0.1, 0.4]),
+                       heis.algebra.from_label("X"), samples_per_t=16,
+                       seed=3, ballbox=ballbox)
+        assert est.rho_lower == pytest.approx(1.0, abs=1e-9)
+    assert calls == []
+    xs = np.zeros((3, 3))
+    ys = np.array([[0.6, 0.8, 0.0], [0.0, 0.0, 1.0], [0.3, 0.0, 0.0]])
+    got = cc_distance(heis)(xs, ys)
+    assert calls == [1]
+    assert got[[0, 2]] == pytest.approx([1.0, 0.3], rel=1e-12)
+    # the solver's path to (0, 0, 1) is shorter than the ladder's 4
+    lower = metric.lower_bounds_batch(heis, ys[1:2])[0]
+    assert got[1] < 0.5 * (lower + 4.0)
 
 
 def test_spread_matches_per_cell_batches(heis):

@@ -912,6 +912,88 @@ def test_cc_upper_max_keeps_the_batch_maxima(case):
     assert np.array_equal(got, want)
 
 
+def _filiform(n):
+    """The model filiform algebra of dimension n, [X1, Xi] = X(i+1)."""
+    c = np.zeros((n, n, n))
+    for i in range(1, n - 1):
+        c[0, i, i + 1], c[i, 0, i + 1] = 1.0, -1.0
+    return catalog.GradedAlgebra(f"filiform{n}", [2] + [1] * (n - 2), c)
+
+
+@pytest.mark.parametrize("case", ["heisenberg", "heisenberg-gram", "free2-3",
+                                  "engel"])
+def test_cc_upper_max_keeps_the_smaller_bound_per_row(case, monkeypatch):
+    # per cell the maximum over rows of min(optimized, ladder) bound; the
+    # rows the ladder decides below their cell's floor never reach the
+    # solver and are marked floored
+    space = _space(case)
+    targets = _cell_targets(space, 4, 24, 41)
+    flat = targets.reshape(96, -1)
+    full, _ = cc_upper_batch(space, flat, budget=MEMBERSHIP_BUDGET, seed=41)
+    want = np.minimum(full, certified_upper_cheap(space, flat))
+    bounded, bound = [], metric._bound_rows
+
+    def recorded(space, starts, chunk, pick=slice(None), **kwargs):
+        bounded.extend(starts.chunks[chunk][0][pick])
+        return bound(space, starts, chunk, pick, **kwargs)
+
+    monkeypatch.setattr(metric, "_bound_rows", recorded)
+    got, floored = cc_upper_max(space, targets, budget=MEMBERSHIP_BUDGET,
+                                seed=41)
+    assert np.array_equal(got, want.reshape(4, 24).max(axis=1))
+    decided = np.ones(96, dtype=bool)
+    decided[bounded] = False
+    assert np.any(decided) and np.all(floored.ravel()[decided])
+
+
+def test_cc_upper_max_takes_the_ladder_where_it_is_shorter():
+    # on the step-4 filiform group a single start can end far above the
+    # straight segment plus its closure: row 33 reads 684.15 against 43.29,
+    # so its cell's maximum is the other rows'
+    space = CCSpace(_filiform(5))
+    targets = np.random.default_rng(4).standard_normal((96, 5))
+    full, _ = cc_upper_batch(space, targets, budget=MEMBERSHIP_BUDGET, seed=5)
+    cheap = certified_upper_cheap(space, targets)
+    assert full[33] == pytest.approx(684.15, abs=0.01)
+    assert cheap[33] == pytest.approx(43.29, abs=0.01)
+    got, _ = cc_upper_max(space, targets.reshape(8, 12, 5),
+                          budget=MEMBERSHIP_BUDGET, seed=5)
+    want = np.minimum(full, cheap).reshape(8, 12).max(axis=1)
+    assert np.array_equal(got, want)
+    assert got[2] < 50 < full[24:36].max()
+
+
+@pytest.mark.parametrize("case", ["heisenberg", "heisenberg-gram", "engel",
+                                  "abelian3", "free2-3", "free2-4",
+                                  "filiform5"])
+def test_ladder_floor_stays_below_the_cheap_bound(case):
+    # provably, roundoff included: on random points, on near-horizontal
+    # ones (|x_2| near 1e-12 |x_1|^2, where a wrong roundoff bound shows
+    # most, at the closure's tolerance), and at 1e-100 and 1e100
+    space = CCSpace(_filiform(5)) if case == "filiform5" else _space(case)
+    a = space.algebra
+    rng = np.random.default_rng(6)
+    points = rng.standard_normal((10000, a.dim))
+    near = rng.standard_normal((2000, a.dim))
+    if a.num_layers > 1:
+        x1 = np.linalg.norm(near[:, : space.d1], axis=1)
+        sl = a.layer_slice(2)
+        size = 10.0 ** rng.uniform(-13.0, -11.0, 2000) * x1 ** 2
+        near[:, sl] *= (size / np.linalg.norm(near[:, sl], axis=1))[:, None]
+        near[:, sl.stop:] *= 1e-12
+    points = np.concatenate([points, near, 1e-100 * points[:1000],
+                             1e100 * points[:1000]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        floor = metric.ladder_floor(space, points)
+        cheap = certified_upper_cheap(space, points)
+    assert np.all(floor <= cheap)
+    # where one closure pass closes a random point, the floor is its cheap
+    # bound but for roundoff
+    if a.num_layers == 2:
+        assert np.all(floor[:10000] >= cheap[:10000] * (1 - 1e-10))
+
+
 @pytest.mark.parametrize("case", ["heisenberg", "free2-3"])
 def test_floored_rows_are_certified_below_the_floor(case):
     # a row the floor stops keeps a projected path: its bound lies between
