@@ -54,9 +54,14 @@ Cases, at the ``engel-distance`` budget (12 segments, 2 starts,
 - ``derivate/heisenberg/cc/<box>``: ``derivate`` of ``cc_distance`` at 0
   along X on the default t-grid, 64 samples per level, seed 0, in the two
   boxes above; the answer is the two derivates and every level's extreme
-  quotients.
+  quotients;
+- ``volume/heisenberg/<box>``: ``ball_volume(r=1)`` at seed 0, with 1000
+  samples in the box of ``calibrate_ballbox(100 samples, seed 0)``, as the
+  ``heis-volume`` workload calls it, and with 40000 samples in the
+  certified box; the answer is the volume, its standard error and the
+  band fraction.
 
-The last three cases' ``counts`` give the rows one call sends through the
+The last five cases' ``counts`` give the rows one call sends through the
 path solver (``_optimize_controls``) and through the straight-segment
 ladder (``_straight_ladder``, which ``certified_upper_cheap`` runs).
 """
@@ -322,6 +327,15 @@ def cases(tree, tiny):
         out.append((f"derivate/heisenberg/cc/{box}", 1 if tiny else 3,
                     cc_estimate, counted(metric, SOLVER_LADDER_ROWS,
                                          cc_estimate)))
+    volume_box = metric.calibrate_ballbox(heis, 100, seed=0)
+    for box, given, count in (("calibrated", volume_box, 1000),
+                              ("certified", None, 40000)):
+        def volume(given=given, count=200 if tiny else count):
+            est = measure.ball_volume(heis, given, 1.0, count, seed=0)
+            return rounded([est.volume, est.stderr, est.band_fraction])
+
+        out.append((f"volume/heisenberg/{box}", 1 if tiny else 3, volume,
+                    counted(metric, SOLVER_LADDER_ROWS, volume)))
     return [case if len(case) == 4 else case + ({},) for case in out]
 
 

@@ -4,9 +4,11 @@ Horizontal targets are reached by straight lines, so upper and lower
 bounds pinch the exact answer.  The vertical direction e^Z is the
 interesting one: no horizontal straight line gets there, and the
 optimal path is a full circle whose length is sqrt(4 pi) by the
-isoperimetric inequality.  Its lower bound sqrt(2 pi) comes from Dido's
-inequality: a path of length L encloses at most L^2 / (2 pi) of area
-with its chord, which the certified constant K_2 = 1/(2 pi) records.
+isoperimetric inequality.  The lower bound reads it exactly: a path of
+length L encloses at most L^2 / (2 pi) of area with its chord (Dido's
+inequality, the certified constant K_2 = 1/(2 pi)), and a closed one at
+most half of that, so the vertical target, whose path is already
+closed, is at least sqrt(2 |z| / K_2) = sqrt(4 pi) away.
 """
 
 import numpy as np

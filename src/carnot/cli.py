@@ -220,6 +220,12 @@ def cmd_distance(args):
     return 0
 
 
+def _decided(est):
+    """How a ball volume's samples were decided, by bound."""
+    return {"lower": est.decided_lower, "ladder": est.decided_ladder,
+            "optimizer": est.decided_optimizer}
+
+
 def cmd_ball_volume(args):
     space = load_group(args.group)
     bb = _ballbox(space, args)
@@ -231,7 +237,8 @@ def cmd_ball_volume(args):
         ["radius", "volume", "stderr", "samples", "seed"],
         [est.as_row()],
         footer_json={"config": _resolved(args), **_bounds_doc(space, bb),
-                     "band_fraction": est.band_fraction},
+                     "band_fraction": est.band_fraction,
+                     "decided": _decided(est)},
     )
     print(f"vol(B({est.radius})) = {est.volume:.6g} "
           f"+- {est.stderr:.2g} -> {path}")
@@ -251,7 +258,8 @@ def cmd_dimension(args):
         ["radius", "volume", "stderr", "samples", "seed"],
         [r.as_row() for r in rows],
         footer_json={"config": _resolved(args, radii=list(map(float, radii))),
-                     **_bounds_doc(space, bb), "fit": fit.as_dict()},
+                     **_bounds_doc(space, bb), "fit": fit.as_dict(),
+                     "decided": [_decided(r) for r in rows]},
     )
     print(f"dimension slope = {fit.slope:.4f} "
           f"(Q = {measure_lab.homogeneous_dimension(space.algebra)}) -> {path}")

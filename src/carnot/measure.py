@@ -57,6 +57,11 @@ class VolumeEstimate:
     samples: int
     seed: int
     band_fraction: float  # samples with lower <= r < upper, per ball sample
+    # samples decided by the lower bound (non-members), by the ladder bound
+    # (members) and by the path optimizer
+    decided_lower: int
+    decided_ladder: int
+    decided_optimizer: int
 
     def as_row(self):
         return [self.radius, self.volume, self.stderr, self.samples, self.seed]
@@ -127,10 +132,10 @@ def ball_volume(space: CCSpace, ballbox: BallBoxConstant | None, r, samples,
     lower = lower_bounds_batch(space, pts, ballbox)
     upper = np.full(samples, np.inf)
     undecided = lower <= r
+    need = np.zeros(samples, dtype=bool)
     if np.any(undecided):
         cheap = certified_upper_cheap(space, pts[undecided])
         upper[undecided] = cheap
-        need = undecided.copy()
         need[undecided] = cheap > r
         if np.any(need):
             opt, _ = cc_upper_batch(
@@ -152,6 +157,9 @@ def ball_volume(space: CCSpace, ballbox: BallBoxConstant | None, r, samples,
         samples=samples,
         seed=seed,
         band_fraction=band_fraction,
+        decided_lower=samples - int(np.sum(undecided)),
+        decided_ladder=int(np.sum(undecided & ~need)),
+        decided_optimizer=int(np.sum(need)),
     )
 
 

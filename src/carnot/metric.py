@@ -37,7 +37,8 @@ from one product call per block of steps.
 Lower bounds come from the 1-Lipschitz abelianization quotient (exact)
 and from certified per-layer constants K_k with |layer_k| <= K_k d_cc^k
 (``LayerBounds``): Dido's inequality on the step-2 quotient for layer 2,
-the factorial decay of a path's signature for layers >= 3.  An
+over the path's chord and, with half the constant, on the path closed
+along -z_1; the factorial decay of a path's signature for layers >= 3.  An
 empirically calibrated ball-box constant can be passed on top; it is
 labelled "calibrated" wherever it is reported.  The calibration is a
 branch and bound over its samples: a sample's ratio is at most its
@@ -357,7 +358,13 @@ class LayerBounds:
     layers 1 and 2, where <w, z_2> is the J_w-weighted area between the
     path and its chord, so Dido's inequality gives |z_2| <= max_w |J_w|
     L^2 / (2 pi), J_w = sum_l w_l c[:d1, :d1, l]; the flattened structure
-    constants' spectral norm bounds max_w |J_w| (equal when d2 = 1).
+    constants' spectral norm bounds max_w |J_w| (equal when d2 = 1).  On a
+    closed curve the J_w-weighted area is at most |J_w| L^2 / (4 pi): it is
+    sum_p s_p A_p over the invariant planes p of J_w, with s_p <= |J_w|,
+    A_p the area of the curve's projection to p, |A_p| <= L_p^2 / (4 pi)
+    for its length L_p, and sum_p L_p^2 <= L^2.  So |z_2| <= (K_2 / 2) L^2
+    on a loop, which ``lower_bounds_batch`` applies to the path closed
+    along -z_1.
     Layers k >= 3 ("signature"): the path's signature has levels of norm
     <= L^j / j!, so its log has level k of norm <= c_k L^k with
     c_k = [x^k](-log(2 - e^x)), and the endpoint's layer k is T_k of that
@@ -393,14 +400,36 @@ class LayerBounds:
                                                 start=2)}
 
 
+def _root_quotient(norm, K, k):
+    """(norm / K)^(1/k) per row.  A row whose quotient overflows takes
+    norm^(1/k) / K^(1/k) instead; the other rows keep their bits."""
+    with np.errstate(over="ignore"):
+        out = np.asarray((norm / K) ** (1.0 / k))
+    far = np.isinf(out)
+    out[far] = norm[far] ** (1.0 / k) / K ** (1.0 / k)
+    return out
+
+
 def _lower_terms(space: CCSpace, deltas, ballbox):
-    """(label, bound) per lower bound of ``lower_bounds_batch``."""
+    """(label, bound) per lower bound of ``lower_bounds_batch``.
+
+    Layer k >= 2 gives (|z_k| / K_k)^(1/k) (``LayerBounds``).  Layer 2
+    also gives the closed-loop form sqrt(2 |z_2| / K_2) - |z_1|: the path
+    to g followed by the segment to g exp(-z_1) is a loop of length at
+    most d + |z_1| whose step-2 quotient ends at z_2, and a closed curve
+    encloses half the area Dido allows a curve over its chord.  Its label
+    is the chord form's, "dido".
+    """
     norms = space.layer_norms(deltas)
     bounds = space.layer_bounds()
-    terms = [("abelianization", norms[..., 0])]
+    horizontal = norms[..., 0]
+    terms = [("abelianization", horizontal)]
     for k, (K, source) in enumerate(zip(bounds.K, bounds.sources), start=2):
         if K > 0:
-            terms.append((source, (norms[..., k - 1] / K) ** (1.0 / k)))
+            bound = _root_quotient(norms[..., k - 1], K, k)
+            if k == 2:  # sqrt(2 |z_2| / K_2) is sqrt 2 times the chord form
+                bound = np.maximum(bound, math.sqrt(2) * bound - horizontal)
+            terms.append((source, bound))
     if ballbox is not None:
         terms.append(("ball-box", space.homogeneous_norm(deltas) / ballbox.A))
     return terms
@@ -409,8 +438,9 @@ def _lower_terms(space: CCSpace, deltas, ballbox):
 def lower_bounds_batch(space: CCSpace, deltas, ballbox=None):
     """Lower bounds of d_cc(e^0, delta) for displacement coords (B, n).
 
-    The largest of the abelianization bound, the certified per-layer
-    bounds (|z_k| / K_k)^(1/k) and, when a calibrated constant is given,
+    The largest of the abelianization bound |z_1|, the certified
+    per-layer bounds (|z_k| / K_k)^(1/k), the closed-loop layer-2 bound
+    sqrt(2 |z_2| / K_2) - |z_1| and, when a calibrated constant is given,
     (1/A) sum_k |z_k|^(1/k).  ``estimate_distance`` names the largest.
     """
     return functools.reduce(np.maximum, [

@@ -146,7 +146,9 @@ def test_reports_are_strict_json(tmp_path):
     def refuse(token):
         raise AssertionError(f"non-finite number {token} in a report")
 
-    assert json.loads(footer, parse_constant=refuse)["band_fraction"] is None
+    doc = json.loads(footer, parse_constant=refuse)
+    assert doc["band_fraction"] is None
+    assert sum(doc["decided"].values()) == 1
     path = tmp_path / "doc.json"
     cli._json_dump({"a": [1.5, float("nan")], "b": (float("-inf"), 2)}, path)
     assert json.loads(path.read_text(), parse_constant=refuse) == {
@@ -228,6 +230,10 @@ def test_dimension_small(tmp_path):
     lines = (tmp_path / "dimension.csv").read_text().splitlines()
     footer = json.loads(lines[-1][2:])
     assert footer["fit"]["slope"] == pytest.approx(2.0, abs=0.2)
+    # one count per radius; the abelian lower bound is exact, so no sample
+    # reaches the path solver
+    assert [sum(d.values()) for d in footer["decided"]] == [4000] * 3
+    assert all(d["optimizer"] == 0 for d in footer["decided"])
 
 
 def test_determinism_byte_identical(tmp_path):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from carnot import catalog
+from carnot import catalog, measure
 from carnot.errors import InputError
 from carnot.measure import (
     MEMBERSHIP_BUDGET,
@@ -18,6 +18,7 @@ from carnot.metric import (
     BallBoxConstant,
     CCSpace,
     cc_upper_batch,
+    certified_upper_cheap,
     lower_bounds_batch,
 )
 
@@ -54,8 +55,9 @@ def test_heisenberg_volume_scaling(heis, heis_ballbox):
     ratio = e2.volume / e1.volume
     # vol scales like r^4; generous tolerance at this sample count
     assert 12.0 < ratio < 20.0
-    # the certified lower bound is sharp only on Dido's semicircle arcs,
-    # so some samples it leaves undecided are not members
+    # the certified lower bound is sharp only on Dido's arcs over their
+    # chord and on the vertical axis, so some samples it leaves undecided
+    # are not members
     assert e1.band_fraction > 0
 
 
@@ -70,6 +72,31 @@ def test_input_validation(heis, heis_ballbox):
             ball_volume(heis, heis_ballbox, radius, 100)
     with pytest.raises(InputError):
         ball_volume(heis, heis_ballbox, 1.0, 0)
+
+
+@pytest.mark.parametrize("box", ["calibrated", "certified"])
+def test_decided_counts_follow_the_bounds(heis, heis_ballbox, box,
+                                          monkeypatch):
+    # every sample is decided once: by its lower bound above r, by its
+    # ladder bound at most r, or by the rows sent to the path solver
+    ballbox = heis_ballbox if box == "calibrated" else None
+    solved = []
+
+    def solver(space, targets, **kwargs):
+        solved.append(len(targets))
+        return cc_upper_batch(space, targets, **kwargs)
+
+    monkeypatch.setattr(measure, "cc_upper_batch", solver)
+    est = ball_volume(heis, ballbox, 1.0, 2000, seed=7)
+    pts = np.random.default_rng(7).uniform(-1.0, 1.0, (2000, 3))
+    pts *= enclosing_box_halfwidths(heis, ballbox, 1.0)
+    above = lower_bounds_batch(heis, pts, ballbox) > 1.0
+    cheap = certified_upper_cheap(heis, pts[~above])
+    assert est.decided_lower == np.sum(above) > 0
+    assert est.decided_ladder == np.sum(cheap <= 1.0) > 0
+    assert est.decided_optimizer == sum(solved) == np.sum(cheap > 1.0) > 0
+    assert (est.decided_lower + est.decided_ladder + est.decided_optimizer
+            == est.samples)
 
 
 def test_radius_keeps_the_members(heis):
@@ -90,7 +117,8 @@ def test_radius_keeps_the_members(heis):
 def _fake_estimates(radii, q):
     return [
         VolumeEstimate(radius=r, volume=r**q, stderr=0.0, samples=1,
-                       seed=0, band_fraction=0.0)
+                       seed=0, band_fraction=0.0, decided_lower=0,
+                       decided_ladder=1, decided_optimizer=0)
         for r in radii
     ]
 

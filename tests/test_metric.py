@@ -180,6 +180,10 @@ def test_lower_bounds(heis, heis_ballbox):
 @pytest.mark.parametrize("case", ["heisenberg", "engel", "free2-3", "free2-4",
                                   "filiform", "chain5", "anisotropic"])
 def test_layer_bounds_hold_on_random_paths(case, filiform, rng):
+    # every layer's constant and every lower-bound term, the closed-loop
+    # Dido form included, hold on paths to the point; where layer 2 is
+    # one-dimensional and the metric standard, the arcs come within 1e-3
+    # of the layer-2 term
     if case == "anisotropic":
         space = CCSpace(catalog.heisenberg(),
                         HorizontalMetric([[2.0, 0.3], [0.3, 0.5]]))
@@ -196,10 +200,12 @@ def test_layer_bounds_hold_on_random_paths(case, filiform, rng):
     d1, B = space.d1, 400
     # rows u @ unmetric have metric norm |u|
     unmetric = np.linalg.inv(np.linalg.cholesky(space.metric.gram))
+    dido = []
     for m in (2, 3, 5, 8, 16, 32):
         gauss = rng.standard_normal((B, m, d1))
         # arcs of constant turning in a random plane, orthonormal for the
-        # metric: Dido's extremals
+        # metric, spanning up to a full turn: Dido's extremals over a chord
+        # and closed
         frame, _ = np.linalg.qr(rng.standard_normal((B, d1, 2)))
         angle = rng.uniform(0, 2 * np.pi, (B, 1)) * np.arange(m) / m
         arcs = (np.cos(angle)[..., None] * frame[:, None, :, 0]
@@ -209,6 +215,50 @@ def test_layer_bounds_hold_on_random_paths(case, filiform, rng):
             length = np.sum(space.metric.norm(controls), axis=-1)
             norms = space.layer_norms(ends)[:, 1:]
             assert np.all(norms <= K * length[:, None] ** powers * (1 + 1e-12))
+            assert np.all(lower_bounds_batch(space, ends)
+                          <= length * (1 + 1e-12))
+            terms = dict(metric._lower_terms(space, ends, None))
+            dido.append(np.max(terms["dido"] / length))
+    if case in ("heisenberg", "engel", "filiform", "chain5"):
+        assert max(dido) > 0.999
+
+
+def test_closed_loop_bound_is_exact_on_vertical_targets(heis):
+    # d(0, 0, z) = sqrt(4 pi |z|): the loop closes into a circle, and the
+    # closed-loop Dido form reads the distance at every scale
+    t = 10.0 ** np.arange(-100, 101, 20)
+    points = np.zeros((len(t), 3))
+    points[:, 2] = t * t
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lower = lower_bounds_batch(heis, points)
+    np.testing.assert_allclose(lower, heisenberg_distance(points), rtol=1e-12)
+    labels, terms = zip(*metric._lower_terms(heis, points, None))
+    assert set(np.array(labels)[np.argmax(terms, axis=0)]) == {"dido"}
+    # estimate_distance clamps its lower bound, so the unclamped one is
+    # held to its certified upper bound
+    for point, bound in zip(points, lower):
+        est = estimate_distance(heis, np.zeros(3), point, budget=FAST, seed=3)
+        assert bound <= est.upper * (1 + 1e-12) and est.lower_method == "dido"
+
+
+def test_layer_terms_do_not_overflow_on_far_points(heis, engel_space):
+    # (|z_k| / K_k)^(1/k) overflows at these points although their
+    # distance is finite: such rows take |z_k|^(1/k) / K_k^(1/k), and the
+    # rows beside them keep their bits
+    near = np.random.default_rng(5).standard_normal((3, 4))
+    for space, far in ((heis, [[0, 0, 1e308]]),
+                       (engel_space, [[0, 0, 0, 1e308], [0, 0, 1e308, 0]])):
+        n = space.algebra.dim
+        points = np.concatenate([near[:, :n], far])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lower = lower_bounds_batch(space, points)
+            upper = certified_upper_cheap(space, points)
+        assert np.all(np.isfinite(lower)) and np.all(lower <= upper)
+        assert np.array_equal(lower[:3], lower_bounds_batch(space, near[:, :n]))
+    assert lower_bounds_batch(heis, [[0, 0, 1e308]])[0] == pytest.approx(
+        np.sqrt(4 * np.pi) * 1e154, rel=1e-12)
 
 
 def test_dido_bound_is_sharp_on_heisenberg(heis):
@@ -321,9 +371,10 @@ def test_estimate_distance_report(heis, heis_ballbox):
     est = estimate_distance(heis, np.zeros(3), np.array([0.0, 0.0, 1.0]),
                             budget=FAST, ballbox=heis_ballbox, seed=6)
     doc = est.as_dict(pair=[[0, 0, 0], [0, 0, 1]])
-    # sqrt(2 pi) from Dido's inequality beats the calibrated 1 / A
+    # the closed-loop Dido bound sqrt(4 pi), the exact distance, beats the
+    # calibrated 1 / A
     assert doc["lower_method"] == "dido"
-    assert doc["lower"] == pytest.approx(np.sqrt(2 * np.pi), rel=1e-15)
+    assert doc["lower"] == pytest.approx(np.sqrt(4 * np.pi), rel=1e-15)
     assert doc["lower"] <= doc["upper"]
     assert doc["witness_segments"] is not None
     assert doc["seed"] == 6
