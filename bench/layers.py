@@ -59,9 +59,12 @@ Cases, at the ``engel-distance`` budget (12 segments, 2 starts,
   samples in the box of ``calibrate_ballbox(100 samples, seed 0)``, as the
   ``heis-volume`` workload calls it, and with 40000 samples in the
   certified box; the answer is the volume, its standard error and the
-  band fraction.
+  band fraction;
+- ``calibrate/<group>``: ``calibrate_ballbox(100 samples, seed 0)``, the
+  size each ``heis-cli`` command that calibrates asks for, on Heisenberg
+  and Engel; the answer is A and the maximum ratio.
 
-The last five cases' ``counts`` give the rows one call sends through the
+The last seven cases' ``counts`` give the rows one call sends through the
 path solver (``_optimize_controls``) and through the straight-segment
 ladder (``_straight_ladder``, which ``certified_upper_cheap`` runs).
 """
@@ -166,18 +169,7 @@ def warm_stage(metric, space, budget, targets):
     cap = min(budget.max_iter, metric.WARM_ITER)
 
     def run():
-        if hasattr(metric, "_warm"):
-            u = metric._warm(group, gram, targets, controls, mu, cap)
-        else:  # a tree whose warm stage is one L-BFGS-B call on the batch
-            def fun(flat):
-                v, g = metric._penalty_value_grad(
-                    group, gram, flat.reshape(controls.shape), targets, mu)
-                return v, g.ravel()
-
-            u = metric.minimize(
-                fun, controls.ravel(), jac=True, method="L-BFGS-B",
-                options={"maxiter": cap, "ftol": budget.ftol,
-                         "gtol": budget.gtol}).x.reshape(controls.shape)
+        u = metric._warm(group, gram, targets, controls, mu, cap)
         misfit = metric.path_endpoints_batch(group, u) - targets
         energy = np.einsum("bmi,ij,bmj->", u, gram, u)
         return rounded(energy + mu * np.sum(misfit * misfit))
@@ -336,6 +328,13 @@ def cases(tree, tiny):
 
         out.append((f"volume/heisenberg/{box}", 1 if tiny else 3, volume,
                     counted(metric, SOLVER_LADDER_ROWS, volume)))
+    for name, space in spaces.items():
+        def calibrate(space=space):
+            box = metric.calibrate_ballbox(space, 100, seed=0)
+            return rounded([box.A, box.max_ratio])
+
+        out.append((f"calibrate/{name}", 1 if tiny else 5, calibrate,
+                    counted(metric, SOLVER_LADDER_ROWS, calibrate)))
     return [case if len(case) == 4 else case + ({},) for case in out]
 
 

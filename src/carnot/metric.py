@@ -9,9 +9,12 @@ subject to reaching the target: on groups of step >= 3 a short damped
 Gauss-Newton warm stage on energy plus a penalty on the endpoint misfit,
 then on every group Gauss-Newton projection onto the endpoint constraint
 and feasible SQP, whose stationary rows are the discrete normal
-extremals.  Every stage works per row, so a row's bound has the same bits
-in any batch that draws it the same starts, except where the prefix
-products are formed in blocks of rows (``BLOCK_ROWS``).
+extremals.  Each stage keeps only its step rule: the three share one
+bookkeeping of the rows still iterating (``_Live``), and the warm stage
+and the SQP one Armijo line search (``_backtrack``).  Every stage works
+per row, so a row's bound has the same bits in any batch that draws it
+the same starts, except where the prefix products are formed in blocks
+of rows (``BLOCK_ROWS``).
 On a group of step <= 3 a path's endpoint is a polynomial of degree <= 3
 in its controls, whose coefficients are formed once per group, step
 count and control dimension; the endpoint and its Jacobian are
@@ -87,9 +90,9 @@ POLY_CONTROLS = 32
 # The path optimizer: iterations of the warm penalty stage (groups of step
 # >= 3 only, ``_optimize_controls`` says why 8), the projection onto the
 # endpoint constraint (tolerance relative to 1 + |target|, and
-# Gauss-Newton steps allowed), and the stopping and line-search constants
-# of the SQP (``_sqp``), HALVINGS, ARMIJO and DECREASE_TOL also of the warm
-# stage (``_warm``).
+# Gauss-Newton steps allowed, in all and per SQP trial), and the
+# stopping and line-search constants that the warm stage and the SQP
+# share through ``_backtrack``.
 WARM_ITER = 8
 PROJECT_TOL = 1e-13
 PROJECT_STEPS = 20
@@ -163,17 +166,21 @@ _UNDERFLOW_NORM = math.sqrt(np.finfo(float).tiny)
 
 def _unsquared(norm, v):
     """norm(v) per row; a finite nonzero row whose squares overflow or
-    underflow is scaled by its largest coordinate first, and the others
-    keep their bits."""
+    underflow is scaled by its largest coordinate first, a row with an
+    infinite coordinate and no nan is inf (where the norm's inf * 0 reads
+    nan), and the others keep their bits."""
     with np.errstate(over="ignore", invalid="ignore"):
         out = np.asarray(norm(v))
     if out.size and _UNDERFLOW_NORM <= out.min() and out.max() < np.inf:
         return out
+    finite = np.all(np.isfinite(v), axis=-1)
     odd = ~(out >= _UNDERFLOW_NORM) | np.isinf(out)
-    odd &= np.all(np.isfinite(v), axis=-1) & np.any(v != 0, axis=-1)
+    odd &= finite & np.any(v != 0, axis=-1)
     if np.any(odd):
         scale = np.max(np.abs(v[odd]), axis=-1, keepdims=True)
         out[odd] = scale[:, 0] * norm(v[odd] / scale)
+    if not finite.all():
+        out[~finite & ~np.any(np.isnan(v), axis=-1)] = np.inf
     return out
 
 
@@ -428,7 +435,9 @@ def _lower_terms(space: CCSpace, deltas, ballbox):
         if K > 0:
             bound = _root_quotient(norms[..., k - 1], K, k)
             if k == 2:  # sqrt(2 |z_2| / K_2) is sqrt 2 times the chord form
-                bound = np.maximum(bound, math.sqrt(2) * bound - horizontal)
+                # (inf - inf, on a row infinite in layers 1 and 2, leaves it)
+                with np.errstate(invalid="ignore"):
+                    bound = np.fmax(bound, math.sqrt(2) * bound - horizontal)
             terms.append((source, bound))
     if ballbox is not None:
         terms.append(("ball-box", space.homogeneous_norm(deltas) / ballbox.A))
@@ -959,46 +968,107 @@ def _solve(a, b):
         return out
 
 
+class _Live:
+    """The rows of a batch that a per-row solver stage still iterates.
+
+    A stage's working arrays hold only its live rows, whose places in the
+    batch are ``rows``.  The rows that stop are scattered into the
+    returned arrays, which are made at the first partial stop; when every
+    row stops at once, the stage's own arrays are returned as they are,
+    with no copy.
+    """
+
+    def __init__(self, size):
+        self.size, self.rows, self.out = size, np.arange(size), None
+
+    def settle(self, keep, result, state):
+        """(done, state) once the live rows outside ``keep`` stop.
+
+        ``result`` holds the arrays the stage returns and ``state`` its
+        working arrays, a row per live row.  ``done`` is the batch's
+        result once no row is left, else None; ``state`` is cut to the
+        rows of ``keep``.
+        """
+        if len(keep) and keep.all():  # the usual case, first
+            return None, state
+        if self.out is None and not keep.any():
+            return result, state
+        if self.out is None:
+            self.out = tuple(np.empty((self.size,) + a.shape[1:], a.dtype)
+                             for a in result)
+        stop = ~keep
+        left = self.rows[stop]
+        for a, v in zip(self.out, result):
+            a[left] = v[stop]
+        if not keep.any():
+            return self.out, state
+        self.rows = self.rows[keep]
+        return None, tuple(a[keep] for a in state)
+
+
 def _project(group, controls, targets, tol, steps):
     """Gauss-Newton steps u <- u - J^T (J J^T)^-1 c onto z_m(u) = target.
 
     ``controls`` is (B, m, d); a row takes at most ``steps`` steps and
-    stops once |c| <= tol.  Returns (controls, c, J, ok): c = z_m - target
-    and J at the returned controls, and the rows that met ``tol``.
-
-    The working arrays hold only the rows still stepping.  A row leaves
-    them, scattered to the returned arrays, when it meets ``tol``, when
-    its residual is not finite or after its last step; when every row
-    leaves at once the working arrays are returned as they are.
+    stops once |c| <= tol or once its residual is not finite.  Returns
+    (controls, c, J, ok): c = z_m - target and J at the returned
+    controls, and the rows that met ``tol``.
     """
     B, m, d = controls.shape
     u = controls.reshape(B, m * d).copy()
-    out = None  # the returned arrays, made at the first partial leave
-    rows = np.arange(B)
+    live = _Live(B)
     for k in range(steps + 1):
         z, J = _endpoint_jacobian(group, u.reshape(-1, m, d))
         c = z - targets
         res = np.sqrt((c * c).sum(axis=-1))
         met = res <= tol
         go = ~met & np.isfinite(res) if k < steps else np.zeros_like(met)
-        if out is None and not go.any():
-            return u.reshape(B, m, d), c, J, met
-        if not go.all():
-            if out is None:
-                out = (np.empty(u.shape), np.empty(c.shape),
-                       np.empty(J.shape), np.zeros(B, dtype=bool))
-            done = ~go
-            left = rows[done]
-            for a, v in zip(out, (u, c, J, met)):
-                a[left] = v[done]
-            if not go.any():
-                break
-            rows, u, c, J, targets, tol = (a[go] for a in
-                                           (rows, u, c, J, targets, tol))
+        done, (u, c, J, targets, tol) = live.settle(
+            go, (u, c, J, met), (u, c, J, targets, tol))
+        if done:
+            u, c, J, ok = done
+            return u.reshape(B, m, d), c, J, ok
         u = u - np.einsum("bij,bi->bj", J,
                           _solve(J @ J.transpose(0, 2, 1), c))
-    u, c, J, ok = out
-    return u.reshape(B, m, d), c, J, ok
+
+
+def _backtrack(state, q, dec, trial):
+    """Armijo backtracking per row along the step -q.
+
+    ``state`` is (u, f, ...): the rows' (B, N) iterates, their objective
+    and whatever else the stage carries per row; ``dec`` is the predicted
+    decrease g^T q.  A row whose ``dec`` exceeds ``DECREASE_TOL`` (1 + f)
+    tries alpha = 1, 1/2, ... (at most ``HALVINGS`` halvings) and takes
+    the first trial that is feasible and lowers f by at least ``ARMIJO``
+    alpha dec.  ``trial(v, t)`` gives the state of the points v, the
+    trials of the rows t, laid out as ``state``, and their feasibility.
+    Returns (state, moved): a row that takes no trial keeps its own.  When
+    every row takes its first trial (alpha = 1, the usual case) the
+    trial's arrays are returned as they come, with no copy.
+    """
+    u, f = state[:2]
+    trying = np.flatnonzero(dec > DECREASE_TOL * (1.0 + f))
+    new = None
+    moved = np.zeros(len(u), dtype=bool)
+    for h in range(HALVINGS + 1):
+        if not len(trying):
+            break
+        alpha = 0.5 ** h
+        every = len(trying) == len(u)
+        t = slice(None) if every else trying
+        values, ok = trial(u[t] - alpha * q[t], t)
+        ok = ok & (values[1] <= f[t] - ARMIJO * alpha * dec[t])
+        if every and ok.all():
+            moved[:] = True
+            return values, moved
+        if new is None:
+            new = tuple(a.copy() for a in state)
+        hit = trying[ok]
+        for a, v in zip(new, values):
+            a[hit] = v[ok]
+        moved[hit] = True
+        trying = trying[~ok]
+    return state if new is None else new, moved
 
 
 def _bfgs_inverse_update(M, s, y):
@@ -1045,11 +1115,6 @@ class _Stop:
         self.scale, self.radius, self.floor = scale, radius, floor
         self.floored = np.zeros(len(scale), dtype=bool)
 
-    def take(self, rows):
-        """The rules of the given rows, with nothing floored yet."""
-        return _Stop(self.scale[rows], self.radius,
-                     None if self.floor is None else self.floor[rows])
-
     def __call__(self, gram, controls, ok, rows):
         """The rows of ``ok`` that stop; row k of the (B, m, d) ``controls``
         is row ``rows[k]`` of the rules."""
@@ -1066,42 +1131,50 @@ class _Stop:
         return ok & stop
 
 
-def _sqp(group, gram, targets, tol, controls, c, J, max_iter, stop=None):
+def _energy(gram, controls):
+    """The energy sum_j u_j^T G u_j of each row of (B, m, d) ``controls``
+    and its gradient 2 (I_m x G) u: (B,) and (B, m * d)."""
+    B, m, d = controls.shape
+    gu = (controls @ gram).reshape(B, m * d)
+    return np.einsum("bi,bi->b", controls.reshape(B, m * d), gu), 2.0 * gu
+
+
+def _sqp(group, gram, targets, tol, controls, c, J, ok, max_iter, stop):
     """Feasible SQP on the energy subject to z_m(u) = target, per row.
 
-    Starts from (B, m, d) ``controls`` that meet ``tol``, with their
-    residuals c and Jacobians J.  Each row keeps an inverse Lagrangian
-    Hessian M, started at blockdiag((2G)^-1); it takes the multipliers
-    from (J M J^T) lam = c - J M g and the step p = -M (g + J^T lam),
-    backtracks on the energy by Armijo (at most ``HALVINGS`` halvings,
-    each trial re-projected by at most ``TRIAL_STEPS`` Gauss-Newton
-    steps), and updates M from y = grad L(u+, lam) - grad L(u, lam).  A
-    row stops, keeping its last feasible iterate, once its predicted
-    decrease -g^T p is at most ``DECREASE_TOL`` (1 + E), when no trial is
-    accepted, after ``max_iter`` iterations, or once a rule of ``stop``
-    (``_Stop``, a rule per row of the batch) stops its iterate.
-
-    The working arrays hold only the rows still iterating; a stopped row
-    leaves them, scattered to the returned controls, and when every row
-    stops at once the last iterates are returned as they are.  An
-    iteration in which every row accepts its first trial (alpha = 1, the
-    usual case) takes the trial's controls, residuals, Jacobians, energies
-    and energy gradients as they come, with no copy; only a partial
-    acceptance copies the iterates and scatters the accepted trials in.
+    Iterates the rows ``ok`` of the (B, m, d) ``controls``, which meet
+    ``tol``, from their residuals c and Jacobians J; the other rows are
+    returned as they are.  Each row keeps an inverse Lagrangian Hessian
+    M, started at blockdiag((2G)^-1); it takes the multipliers from
+    (J M J^T) lam = c - J M g and the step p = -M (g + J^T lam),
+    backtracks on the energy (``_backtrack``, each trial re-projected by
+    at most ``TRIAL_STEPS`` Gauss-Newton steps), and updates M from
+    y = grad L(u+, lam) - grad L(u, lam).  A row stops, keeping its last
+    feasible iterate, when the line search does not move it, after
+    ``max_iter`` iterations, or once a rule of ``stop`` (``_Stop``, or
+    None) stops an iterate of it, the projected one included.  Returns
+    the (B, m, d) controls.
     """
     B, m, d = controls.shape
     N = m * d
-
-    def energy_grad(v):
-        gv = (v.reshape(-1, m, d) @ gram).reshape(-1, N)
-        return np.einsum("bi,bi->b", v, gv), 2.0 * gv
-
-    out = None  # the returned controls, made at the first partial stop
-    rows = np.arange(B)
+    live = _Live(B)
+    if stop is not None:
+        ok = ok & ~stop(gram, controls, ok, live.rows)
     u = controls.reshape(B, N)
-    E, g = energy_grad(u)
-    M = np.empty((B, N, N))
+    done, (targets, tol, u, c, J) = live.settle(ok, (u,),
+                                                (targets, tol, u, c, J))
+    if done:
+        return done[0].reshape(B, m, d)
+    E, g = _energy(gram, u.reshape(-1, m, d))
+    M = np.empty((len(u), N, N))
     M[:] = np.kron(np.eye(m), np.linalg.inv(2.0 * gram))
+
+    def trial(v, t):  # the live rows' targets and tol when it is called
+        tu, tc, tJ, feasible = _project(group, v.reshape(-1, m, d),
+                                        targets[t], tol[t], TRIAL_STEPS)
+        tE, tg = _energy(gram, tu)
+        return (tu.reshape(-1, N), tE, tc, tJ, tg), feasible
+
     for it in range(max_iter):
         MJt = M @ J.transpose(0, 2, 1)
         Mg = np.einsum("bij,bj->bi", M, g)
@@ -1109,54 +1182,20 @@ def _sqp(group, gram, targets, tol, controls, c, J, max_iter, stop=None):
         # the step is p = -q, and the predicted decrease -g^T p is g^T q
         q = Mg + np.einsum("bij,bj->bi", MJt, lam)
         dec = np.einsum("bi,bi->b", g, q)
-        trying = np.flatnonzero(dec > DECREASE_TOL * (1.0 + E))
-        # (u, c, J, E, g) after the line search; rows that did not move
-        # keep theirs, and stop below
-        new = None
-        moved = np.zeros(len(u), dtype=bool)
-        for h in range(HALVINGS + 1):
-            if not len(trying):
-                break
-            alpha = 0.5 ** h
-            every = len(trying) == len(u)
-            t = slice(None) if every else trying
-            tu, tc, tJ, ok = _project(
-                group, (u[t] - alpha * q[t]).reshape(-1, m, d), targets[t],
-                tol[t], TRIAL_STEPS)
-            tu = tu.reshape(-1, N)
-            tE, tg = energy_grad(tu)
-            ok &= tE <= E[t] - ARMIJO * alpha * dec[t]
-            if every and ok.all():
-                new = tu, tc, tJ, tE, tg
-                moved[:] = True
-                break
-            if new is None:
-                new = tuple(a.copy() for a in (u, c, J, E, g))
-            hit = trying[ok]
-            for a, v in zip(new, (tu, tc, tJ, tE, tg)):
-                a[hit] = v[ok]
-            moved[hit] = True
-            trying = trying[~ok]
-        un, cn, Jn, En, gn = (u, c, J, E, g) if new is None else new
+        (un, En, cn, Jn, gn), moved = _backtrack((u, E, c, J, g), q, dec,
+                                                 trial)
         # every row but the moved ones before the cap stops here
         keep = moved if it + 1 < max_iter else np.zeros_like(moved)
         if stop is not None:
-            keep &= ~stop(gram, un.reshape(-1, m, d), keep, rows)
-        if out is None and not keep.any():
-            return un.reshape(B, m, d)
-        if not keep.all():
-            if out is None:
-                out = np.empty((B, m, d))
-            out[rows[~keep]] = un[~keep].reshape(-1, m, d)
-            if not keep.any():
-                break
-            rows, targets, tol, M, lam, u, g, J, un, cn, Jn, En, gn = (
-                a[keep] for a in
-                (rows, targets, tol, M, lam, u, g, J, un, cn, Jn, En, gn))
+            keep &= ~stop(gram, un.reshape(-1, m, d), keep, live.rows)
+        done, (targets, tol, M, lam, u, g, J, un, cn, Jn, En, gn) = (
+            live.settle(keep, (un,), (targets, tol, M, lam, u, g, J, un, cn,
+                                      Jn, En, gn)))
+        if done:
+            return done[0].reshape(B, m, d)
         y = gn - g + np.einsum("bij,bi->bj", Jn - J, lam)
         _bfgs_inverse_update(M, un - u, y)
         u, c, J, E, g = un, cn, Jn, En, gn
-    return out
 
 
 def _penalty(group, gram, controls, targets, mu):
@@ -1167,15 +1206,11 @@ def _penalty(group, gram, controls, targets, mu):
     gradient 2 (I_m x G) u + 2 mu J^T (z_m - target) and J from
     ``_endpoint_jacobian``.
     """
-    B, m, d = controls.shape
     z, J = _endpoint_jacobian(group, controls)
-    u = controls.reshape(B, m * d)
-    gu = (controls @ gram).reshape(B, m * d)
+    energy, grad = _energy(gram, controls)
     diff = z - targets
-    value = (np.einsum("bi,bi->b", u, gu)
-             + mu * np.einsum("bi,bi->b", diff, diff))
-    grad = 2.0 * gu + (2.0 * mu * diff[:, None] @ J)[:, 0]
-    return value, grad, J
+    grad += (2.0 * mu * diff[:, None] @ J)[:, 0]
+    return energy + mu * np.einsum("bi,bi->b", diff, diff), grad, J
 
 
 def _warm(group, gram, targets, controls, mu, max_iter):
@@ -1183,67 +1218,34 @@ def _warm(group, gram, targets, controls, mu, max_iter):
 
     Each row of the (B, m, d) ``controls`` steps by p = -H^-1 grad f with
     the Gauss-Newton matrix H = 2 (I_m x G) + 2 mu J^T J, positive
-    definite since G is, and backtracks by Armijo on f (at most
-    ``HALVINGS`` halvings); f, its gradient and J come from ``_penalty``.  A row stops, keeping its last iterate,
-    once its predicted decrease -grad f^T p is at most ``DECREASE_TOL``
-    (1 + f), when no trial is accepted, or after ``max_iter`` iterations.
-    Every operation is per row, so a row's iterates have the same bits in
-    any batch wherever its endpoint and Jacobian do (``BLOCK_ROWS``).
-    Returns the (B, m, d) controls.
-
-    As in ``_sqp`` the working arrays hold only the rows still iterating,
-    and an iteration in which every row accepts its first trial takes the
-    trial's values as they come.
+    definite since G is, and backtracks on f (``_backtrack``); f, its
+    gradient and J come from ``_penalty``.  A row stops, keeping its last
+    iterate, when the line search does not move it or after ``max_iter``
+    iterations.  Every operation is per row, so a row's iterates have the
+    same bits in any batch wherever its endpoint and Jacobian do
+    (``BLOCK_ROWS``).  Returns the (B, m, d) controls.
     """
     B, m, d = controls.shape
     N = m * d
     curvature = np.kron(np.eye(m), 2.0 * gram)
-    out = None  # the returned controls, made at the first partial stop
-    rows = np.arange(B)
+    live = _Live(B)
     u = controls.reshape(B, N)
     f, g, J = _penalty(group, gram, controls, targets, mu)
+
+    def trial(v, t):  # the live rows' targets when it is called
+        return (v, *_penalty(group, gram, v.reshape(-1, m, d), targets[t],
+                             mu)), True
+
     for it in range(max_iter):
         # the step is p = -q, and the predicted decrease -g^T p is g^T q
         q = _solve(curvature + 2.0 * mu * (J.transpose(0, 2, 1) @ J), g)
         dec = np.einsum("bi,bi->b", g, q)
-        trying = np.flatnonzero(dec > DECREASE_TOL * (1.0 + f))
-        new = None
-        moved = np.zeros(len(u), dtype=bool)
-        for h in range(HALVINGS + 1):
-            if not len(trying):
-                break
-            alpha = 0.5 ** h
-            every = len(trying) == len(u)
-            t = slice(None) if every else trying
-            tu = u[t] - alpha * q[t]
-            tf, tg, tJ = _penalty(group, gram, tu.reshape(-1, m, d),
-                                  targets[t], mu)
-            ok = tf <= f[t] - ARMIJO * alpha * dec[t]
-            if every and ok.all():
-                new = tu, tf, tg, tJ
-                moved[:] = True
-                break
-            if new is None:
-                new = tuple(a.copy() for a in (u, f, g, J))
-            hit = trying[ok]
-            for a, v in zip(new, (tu, tf, tg, tJ)):
-                a[hit] = v[ok]
-            moved[hit] = True
-            trying = trying[~ok]
-        if new is not None:
-            u, f, g, J = new
+        (u, f, g, J), moved = _backtrack((u, f, g, J), q, dec, trial)
         keep = moved if it + 1 < max_iter else np.zeros_like(moved)
-        if out is None and not keep.any():
-            return u.reshape(B, m, d)
-        if not keep.all():
-            if out is None:
-                out = np.empty((B, N))
-            out[rows[~keep]] = u[~keep]
-            if not keep.any():
-                break
-            rows, targets, u, f, g, J = (a[keep] for a in
-                                         (rows, targets, u, f, g, J))
-    return out.reshape(B, m, d)
+        done, (targets, u, f, g, J) = live.settle(keep, (u,),
+                                                  (targets, u, f, g, J))
+        if done:
+            return done[0].reshape(B, m, d)
 
 
 def _optimize_controls(group, gram, targets, controls0, budget, stop=None):
@@ -1265,7 +1267,6 @@ def _optimize_controls(group, gram, targets, controls0, budget, stop=None):
     point or an SQP iterate, and ``stop.floored`` marks the rows the floor
     stopped.
     """
-    B = len(controls0)
     tol = PROJECT_TOL * (1.0 + np.linalg.norm(targets, axis=-1))
     warm = controls0
     # On step-2 groups (Heisenberg and free2-3, 200 rows at the membership
@@ -1284,17 +1285,8 @@ def _optimize_controls(group, gram, targets, controls0, budget, stop=None):
                      min(budget.max_iter, WARM_ITER))
     controls, c, J, ok = _project(group, warm, targets, tol, PROJECT_STEPS)
     controls[~ok] = warm[~ok]
-    if stop is not None:
-        ok &= ~stop(gram, controls, ok, np.arange(B))
-    live = np.flatnonzero(ok)
-    if len(live):
-        rules = None if stop is None else stop.take(live)
-        controls[live] = _sqp(
-            group, gram, targets[live], tol[live], controls[live], c[live],
-            J[live], budget.max_iter, rules)
-        if stop is not None:
-            stop.floored[live] = rules.floored
-    return controls
+    return _sqp(group, gram, targets, tol, controls, c, J, ok,
+                budget.max_iter, stop)
 
 
 def _initial_controls(space, targets, budget, rng):

@@ -20,7 +20,8 @@ def test_layers_script_reports_every_case(tmp_path):
         "poly", "project", "cheap", "poly", "project", "cheap", "engel-call",
         "engel-4", "heis-membership-2", "engel-volume-200", "cheap", "warm",
         "warm", "call", "warm", "call", "lower", "lower", "derivate",
-        "derivate", "spread", "derivate", "derivate", "volume", "volume"]
+        "derivate", "spread", "derivate", "derivate", "volume", "volume",
+        "calibrate", "calibrate"]
     for case in doc["cases"].values():
         (tree,) = case["trees"]
         assert tree["ms"] > 0 and len(tree["repeats_ms"]) == 1

@@ -1,7 +1,8 @@
 """Source rules: no carnot module uses another's private names, no
-``np.einsum`` call takes three or more operands, every parameter with a
-default is set by some caller, and every public name has a user outside
-the tests."""
+``np.einsum`` call takes three or more operands, the line search's
+constants are read in one function, every parameter with a default is
+set by some caller, and every public name has a user outside the
+tests."""
 
 import ast
 from pathlib import Path
@@ -70,6 +71,50 @@ def test_no_three_operand_einsum():
     offenders = [hit for path in sorted(PACKAGE.glob("*.py"))
                  for hit in _wide_einsums(path)]
     assert offenders == []
+
+
+LINE_SEARCH_CONSTANTS = ("ARMIJO", "HALVINGS", "DECREASE_TOL")
+
+
+def _constant_reads(path):
+    """(constant, where) for each read of a line-search constant.
+
+    A read is a bare name or an attribute; ``where`` is the innermost
+    function around it, or the module.
+    """
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.Lambda)):
+                name = getattr(child, "name", "<lambda>")
+                inner = f"{path.name}:{child.lineno} {name}"
+            read = (child.id if isinstance(child, ast.Name)
+                    else child.attr if isinstance(child, ast.Attribute)
+                    else None)
+            if (read in LINE_SEARCH_CONSTANTS
+                    and isinstance(child.ctx, ast.Load)):
+                found.append((read, where))
+            visit(child, inner)
+
+    visit(tree, path.name)
+    return found
+
+
+def test_line_search_constants_read_in_one_function():
+    """One Armijo search serves every solver stage that backtracks.
+
+    A second function reading one of its constants is a second copy of
+    the search.
+    """
+    readers = {name: set() for name in LINE_SEARCH_CONSTANTS}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name, where in _constant_reads(path):
+            readers[name].add(where)
+    assert all(len(where) == 1 for where in readers.values()), readers
 
 
 ROOT = Path(__file__).resolve().parent.parent

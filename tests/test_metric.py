@@ -692,6 +692,62 @@ def test_projection_rows_ignore_their_batch_mates(name):
             np.testing.assert_array_equal(got[b], want[0])
 
 
+def _filiform_space(n):
+    """The model filiform group of dimension n, [X1, Xi] = X(i+1)."""
+    c = np.zeros((n, n, n))
+    for i in range(1, n - 1):
+        c[0, i, i + 1], c[i, 0, i + 1] = 1.0, -1.0
+    return CCSpace(catalog.GradedAlgebra(f"filiform{n}", [2] + [1] * (n - 2),
+                                         c))
+
+
+def test_line_search_rows_ignore_their_batch_mates(monkeypatch):
+    # on a group of step 4 every prefix product takes one step (q = 1), so
+    # no row depends on its batch.  In the warm stage's first iteration
+    # every row tries alpha = 1 and some need halvings.  In the SQP some
+    # rows stop before the first line search, which both accepts and
+    # halves, and the floor stops some rows but not all.  Every row, and
+    # whether the floor stopped it, gets the bits it gets alone.
+    space = _filiform_space(5)
+    group, gram = space.group, space.metric.gram
+    targets = np.random.default_rng(4).standard_normal((96, 5))
+    starts = _draw_starts(space, targets, MEMBERSHIP_BUDGET, 5)
+    (rows, inits), = starts.chunks
+    targets, controls = starts.unit[rows], inits[0]
+    assert len(targets) == 96
+    calls, mu, cap = [], 1e4, metric.WARM_ITER
+    penalty, project = metric._penalty, metric._project
+    monkeypatch.setattr(metric, "_penalty", lambda group, gram, u, *rest: (
+        calls.append(len(u)), penalty(group, gram, u, *rest))[1])
+    warm = metric._warm(group, gram, targets, controls, mu, cap)
+    # the start, then the first iteration's alpha = 1 and 1/2 trials
+    assert calls[:2] == [96, 96] and 0 < calls[2] < 96
+    for b in range(96):
+        alone = metric._warm(group, gram, targets[b:b + 1],
+                             controls[b:b + 1], mu, cap)
+        np.testing.assert_array_equal(alone[0], warm[b])
+    trials = []
+    monkeypatch.setattr(metric, "_project", lambda group, u, *rest: (
+        trials.append(len(u)) if rest[-1] == metric.TRIAL_STEPS else None,
+        project(group, u, *rest))[1])
+    free = _optimize_controls(group, gram, targets, controls,
+                              MEMBERSHIP_BUDGET)
+    floor = np.full(96, np.median(np.sum(space.metric.norm(free), axis=-1)))
+    stop = metric._Stop(np.ones(96), None, floor)
+    trials.clear()
+    batch = _optimize_controls(group, gram, targets, controls,
+                               MEMBERSHIP_BUDGET, stop)
+    # the first SQP iteration's alpha = 1 and 1/2 trials
+    assert 0 < trials[1] < trials[0] < 96
+    assert 0 < np.sum(stop.floored) < 96
+    for b in range(96):
+        rule = metric._Stop(np.ones(1), None, floor[b:b + 1])
+        alone = _optimize_controls(group, gram, targets[b:b + 1],
+                                   controls[b:b + 1], MEMBERSHIP_BUDGET, rule)
+        np.testing.assert_array_equal(alone[0], batch[b])
+        assert rule.floored[0] == stop.floored[b]
+
+
 def test_optimized_controls_meet_pontryagin_condition(heis):
     # stationary rows are discrete normal extremals: 2 G u + J^T lam = 0
     # for the least-squares multiplier lam of the endpoint constraint
@@ -1205,6 +1261,35 @@ def test_points_below_squaring_range_get_their_bounds(name):
                                              budget=MEMBERSHIP_BUDGET)
             assert residual[0] <= 1e-9
             assert lower_bounds_batch(space, point)[0] <= upper[0]
+
+
+@pytest.mark.parametrize("name", ["heisenberg", "engel"])
+def test_infinite_coordinates_read_inf(name):
+    # the layer-1 norm forms u @ gram, whose inf * 0 is nan: a row with an
+    # infinite coordinate and no nan reads inf in that coordinate's layer
+    # and in its lower bound, a row with a nan reads nan, and the finite
+    # rows keep the bits they have alone
+    space = CCSpace(catalog.get(name))
+    a, n = space.algebra, space.algebra.dim
+    finite = np.random.default_rng(5).standard_normal((3, n))
+    mixed = np.arange(1.0, n + 1)
+    mixed[0] = np.inf
+    infinite = np.concatenate([np.diag(np.full(n, np.inf)),
+                               np.diag(np.full(n, -np.inf)),
+                               [np.full(n, np.inf), mixed]])
+    points = np.concatenate([finite, infinite, [mixed]])
+    points[-1, -1] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        norms = space.layer_norms(points)
+        lower = lower_bounds_batch(space, points)
+        alone = space.layer_norms(finite)
+    layers = np.stack([np.isinf(infinite[:, a.layer_slice(i)]).any(axis=-1)
+                       for i in range(1, a.num_layers + 1)], axis=-1)
+    assert np.array_equal(np.isposinf(norms[3:-1]), layers)
+    assert np.all(np.isfinite(norms[3:-1][~layers]))
+    assert np.all(np.isposinf(lower[3:-1])) and np.isnan(lower[-1])
+    assert np.array_equal(norms[:3], alone)
 
 
 @pytest.mark.parametrize("name", ["heisenberg", "engel", "free2-3",
