@@ -20,7 +20,14 @@ Cases, at the ``engel-distance`` budget (12 segments, 2 starts,
   and 200, from standard-normal controls onto the endpoints of others;
 - ``cheap/<group>/B<B>``: ``certified_upper_cheap`` on B = 20, 256 and
   1000 points, 0.5 x standard-normal (generator seed 2);
+- ``close/<group>/B<B>``: ``close_defect_batch`` on the straight segments
+  of the same points dilated to unit homogeneous norm, the closure that
+  ``certified_upper_cheap`` and the straight candidate of
+  ``cc_upper_batch`` run; the answer is the summed added length and the
+  largest residual;
 - ``engel-call``: ``cc_upper_batch`` on stored Engel target 0, seed 0;
+  its ``counts`` are the rows of one call, the straight candidates'
+  among them;
 - ``engel-400``: ``cc_upper_batch`` on 200 standard-normal Engel targets
   (generator seed 7), solver seed 5, 400 rows with the two starts;
 - ``heis-membership-200``: ``cc_upper_batch`` on 200 standard-normal
@@ -38,7 +45,7 @@ Cases, at the ``engel-distance`` budget (12 segments, 2 starts,
   B = 96 and ``MEMBERSHIP_BUDGET``, and ``engel-m24`` at B = 2 with 24
   segments (48 controls);
 - ``call/<case>/B<B>``: ``cc_upper_batch`` on the same targets, seed 5,
-  for the two fold-side cases;
+  for the two fold-side cases, with counts as ``engel-call``'s;
 - ``lower/<group>/B<B>``: ``lower_bounds_batch`` on B = 256 and 24320
   points, 0.5 x standard-normal (generator seed 3);
 - ``derivate/heisenberg/<box>``: ``derivate`` of ``abelianized_distance``
@@ -64,9 +71,12 @@ Cases, at the ``engel-distance`` budget (12 segments, 2 starts,
   size each ``heis-cli`` command that calibrates asks for, on Heisenberg
   and Engel; the answer is A and the maximum ratio.
 
-The last seven cases' ``counts`` give the rows one call sends through the
-path solver (``_optimize_controls``) and through the straight-segment
-ladder (``_straight_ladder``, which ``certified_upper_cheap`` runs).
+The ``counts`` of ``engel-call``, ``call/*`` and the last seven cases
+give the rows one call sends through the path solver
+(``_optimize_controls``) and through the straight-segment ladder
+(``_straight_ladder``, which forms ``certified_upper_cheap`` and the
+straight candidate of every solver row whose floor does not rule it
+out).
 """
 
 import os
@@ -217,14 +227,29 @@ def cases(tree, tiny):
                         lambda space=spaces[name], points=points: rounded(
                             np.sum(metric.certified_upper_cheap(space,
                                                                 points)))))
+            space = spaces[name]
+            scales = space.homogeneous_norm(points)
+            unit = points * (1.0 / scales[:, None]) ** g.algebra.layer_of
+
+            def close(space=space, unit=unit):
+                ends = space.embed_horizontal(unit[:, : space.d1])
+                extra, _, residual, _ = metric.close_defect_batch(space, ends,
+                                                                  unit)
+                return rounded([np.sum(extra), np.max(residual)])
+
+            out.append((f"close/{name}/B{B}", calls, close))
     stored = np.array(json.loads(ENGEL_REFERENCE.read_text())["targets"])
     rows = 2 if tiny else 200
     engel_targets = np.random.default_rng(7).standard_normal((rows, 4))
     heis_targets = np.random.default_rng(8).standard_normal((rows, 3))
+
+    def engel_call():
+        return rounded(metric.cc_upper_batch(engel, stored[:1], budget=budget,
+                                             seed=0)[0])
+
     out += [
-        ("engel-call", 1 if tiny else 10, lambda: rounded(
-            metric.cc_upper_batch(engel, stored[:1], budget=budget,
-                                  seed=0)[0])),
+        ("engel-call", 1 if tiny else 10, engel_call,
+         counted(metric, SOLVER_LADDER_ROWS, engel_call)),
         (f"engel-{2 * rows}", 1, lambda: rounded(np.sum(
             metric.cc_upper_batch(engel, engel_targets, budget=budget,
                                   seed=5)[0]))),
@@ -255,10 +280,12 @@ def cases(tree, tiny):
         out.append((f"warm/{name}/B{B}", calls,
                     warm_stage(metric, space, given, targets)))
         if fold:
-            out.append((f"call/{name}/B{B}", calls,
-                        lambda space=space, given=given, targets=targets:
-                        rounded(np.sum(metric.cc_upper_batch(
-                            space, targets, budget=given, seed=5)[0]))))
+            def call(space=space, given=given, targets=targets):
+                return rounded(np.sum(metric.cc_upper_batch(
+                    space, targets, budget=given, seed=5)[0]))
+
+            out.append((f"call/{name}/B{B}", calls, call,
+                        counted(metric, SOLVER_LADDER_ROWS, call)))
     for name, space in spaces.items():
         for B in (20,) if tiny else (256, 24320):
             points = 0.5 * np.random.default_rng(3).standard_normal(

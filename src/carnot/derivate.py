@@ -88,11 +88,10 @@ def cc_distance(space: CCSpace, ballbox=None, seed=0) -> LipschitzDistance:
     """d_cc itself as a LipschitzDistance (L = 1), named "cc-midpoint".
 
     Reports the midpoint of the certified bracket: the combined lower
-    bound, and the smaller of the cheap ladder bound and the path
-    solver's bound with ``MEMBERSHIP_BUDGET``.  Only the pairs whose
-    ladder bound exceeds the lower bound by more than ``CEILING_SLACK``,
-    relative, go to the solver, in one batch; on a radial pair the two
-    meet to roundoff, and the ladder bound is its upper bound.
+    bound, and the cheap ladder bound, or ``cc_upper_batch``'s with
+    ``MEMBERSHIP_BUDGET``, never above it, in one batch for the pairs
+    whose ladder bound exceeds the lower bound by more than
+    ``CEILING_SLACK``, relative (on a radial pair the two meet).
     """
 
     def evaluator(xs, ys):
@@ -101,9 +100,8 @@ def cc_distance(space: CCSpace, ballbox=None, seed=0) -> LipschitzDistance:
         upper = certified_upper_cheap(space, deltas)
         undecided = upper > lower * (1.0 + CEILING_SLACK)
         if np.any(undecided):
-            solved, _ = cc_upper_batch(space, deltas[undecided],
-                                       budget=MEMBERSHIP_BUDGET, seed=seed)
-            upper[undecided] = np.minimum(upper[undecided], solved)
+            upper[undecided], _ = cc_upper_batch(
+                space, deltas[undecided], budget=MEMBERSHIP_BUDGET, seed=seed)
         return 0.5 * (np.minimum(lower, upper) + upper)
 
     return LipschitzDistance(name="cc-midpoint", evaluator=evaluator, L=1.0,
@@ -386,8 +384,8 @@ def spread_estimate(space: CCSpace, v, epsilon_grid, t_grid, samples=64,
     the end only on the samples that can still set their cell's supremum,
     and decides by the ladder bound those whose ladder bound is below the
     cell's floor.  On step-2 groups the suprema have the bits of bounding
-    every sample by min(``cc_upper_batch``, ``certified_upper_cheap``), the
-    former in one batch, and taking each cell's maximum.
+    every sample by ``cc_upper_batch`` in one batch, never above its
+    straight segment's bound, and taking each cell's maximum.
     """
     v = space.algebra.vector(v)
     if np.any(np.abs(v[space.d1:]) > 0):

@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import InputError, OptimizerFailure
 from .metric import CCSpace, OptimizerBudget, cc_upper_batch, lower_bounds_batch
-from .measure import certified_upper_cheap
 
 
 def default_t_grid(t_max=128.0):
@@ -126,8 +125,9 @@ def divergence_profile(space: CCSpace, pair: GeodesicPair, budget=None,
     """Certified-bracket divergence profile of a radial geodesic pair.
 
     f(t) = d_cc(gamma_1(t), gamma_2(t)) is bracketed per grid time by the
-    combined lower bound and the certified upper bound of the exactly
-    reduced displacement; the exponent fits the bracket midpoints.
+    combined lower bound and ``cc_upper_batch``'s certified upper bound of
+    the exactly reduced displacement, never above its straight segment's;
+    the exponent fits the bracket midpoints.
     """
     if budget is None:
         budget = OptimizerBudget(segments=12, starts=2)
@@ -141,7 +141,6 @@ def divergence_profile(space: CCSpace, pair: GeodesicPair, budget=None,
         upper, _ = cc_upper_batch(space, disp, budget=budget, seed=seed)
     except OptimizerFailure:
         upper = np.full(len(pair.t_grid), np.inf)
-    upper = np.minimum(upper, certified_upper_cheap(space, disp))
     rows = [(float(t), float(lo), float(hi))
             for t, lo, hi in zip(pair.t_grid, lower, upper)]
     if np.any(~np.isfinite(upper)):

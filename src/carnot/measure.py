@@ -138,11 +138,10 @@ def ball_volume(space: CCSpace, ballbox: BallBoxConstant | None, r, samples,
         upper[undecided] = cheap
         need[undecided] = cheap > r
         if np.any(need):
-            opt, _ = cc_upper_batch(
+            upper[need], _ = cc_upper_batch(
                 space, pts[need], budget=MEMBERSHIP_BUDGET,
                 seed=int(rng.integers(2**32)), radius=r,
             )
-            upper[need] = np.minimum(upper[need], opt)
     member = upper <= r
     p = float(np.mean(member))
     volume = box_vol * p

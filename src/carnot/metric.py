@@ -23,10 +23,10 @@ evaluated from them.  Elsewhere (step >= 4, or more than
 layer: a covector with no content above layer 2 pulls back in closed
 form, against the layer-2 structure constants, and only the others go
 through the closed-form derivative of the product
-(``group.row_series``).  A row with no feasible optimized start
-falls back to the straight segment plus its ladder closure.  Every
-candidate path, optimized or straight, is bounded at unit homogeneous
-norm, through one certify step (``_certify``), and dilated back.
+(``group.row_series``).  Every candidate path, optimized or straight,
+is bounded at unit homogeneous norm, through one certify step
+(``_certify``), and dilated back; a row keeps the shorter of its best
+optimized path and its straight segment (``_bound_rows``).
 Stopping is a rule per row: the closure moves only the rows still off
 their targets, and the solver has two optional rules (``_Stop``).  Given
 a radius a row stops as soon as it has a projected path no longer than
@@ -108,9 +108,9 @@ DECREASE_TOL = 1e-14
 # ceiling is 1) by roundoff or by the residual a path is accepted at,
 # ``ACCEPT_TOL`` (1 + |target|) at unit homogeneous norm.
 CEILING_SLACK = 1e-8
-# Relative margin by which ``ladder_floor`` stays below the cheap bound: it
-# covers the roundoff of a few hundred operations, far more than either
-# side takes.
+# Relative margin by which ``_unit_floor`` stays below the straight
+# segment's bound: it covers the roundoff of a few hundred operations, far
+# more than either side takes.
 FLOOR_SLACK = 2.0 ** -40
 
 
@@ -149,8 +149,8 @@ class HorizontalMetric:
         return self.gram.shape[0]
 
     def norm(self, u):
-        u = np.asarray(u, dtype=float)
-        return np.sqrt(self.inner(u, u))
+        return _unsquared(lambda v: np.sqrt(self.inner(v, v)),
+                          np.asarray(u, dtype=float))
 
     def inner(self, u, v):
         return np.einsum("...i,...i->...", u @ self.gram, v)
@@ -168,10 +168,12 @@ def _unsquared(norm, v):
     """norm(v) per row; a finite nonzero row whose squares overflow or
     underflow is scaled by its largest coordinate first, a row with an
     infinite coordinate and no nan is inf (where the norm's inf * 0 reads
-    nan), and the others keep their bits."""
+    nan), and the others, exact zeros included, keep their bits."""
     with np.errstate(over="ignore", invalid="ignore"):
         out = np.asarray(norm(v))
-    if out.size and _UNDERFLOW_NORM <= out.min() and out.max() < np.inf:
+    if out.size and out.max() < np.inf and (
+            _UNDERFLOW_NORM <= out.min()
+            or not np.any(v[out < _UNDERFLOW_NORM])):
         return out
     finite = np.all(np.isfinite(v), axis=-1)
     odd = ~(out >= _UNDERFLOW_NORM) | np.isinf(out)
@@ -223,8 +225,8 @@ class CCSpace:
     def layer_norms(self, x):
         """Per-layer norms (metric norm on layer 1, Euclidean above)."""
         x, a = self.algebra.vector(x), self.algebra
-        return np.stack([_unsquared(_euclid if i > 1 else self.metric.norm,
-                                    x[..., a.layer_slice(i)])
+        return np.stack([_unsquared(_euclid, x[..., a.layer_slice(i)])
+                         if i > 1 else self.metric.norm(x[..., : self.d1])
                          for i in range(1, a.num_layers + 1)], axis=-1)
 
     def homogeneous_norm(self, x):
@@ -1394,17 +1396,18 @@ def _bound_rows(space: CCSpace, starts: _Starts, chunk, pick=slice(None),
                 radius=None, floor=None):
     """Bound the rows ``pick`` of chunk ``chunk`` of ``starts`` in one batch.
 
-    Per row the shortest start that ``_certify`` accepts at unit norm is
-    kept; a row with no accepted start gets the straight segment plus its
-    ladder closure instead (``certified_upper_cheap``).  Returns (upper,
-    residual, kept, floored) for those rows: ``upper`` is the kept path's
-    length, inf where even that is not accepted, ``kept`` the kept paths
-    as unit-duration control displacements, (len(rows), k, d1), and
-    ``floored`` the rows with a start that the ``floor`` (one per row)
-    stopped, whose bound is then certified below the floor (``_Stop``).
-    A row's bound does not depend on the other rows up to
-    ``POLY_CONTROLS`` controls; above it the block size of the prefix
-    products on 3-layer groups follows the batch (``BLOCK_ROWS``).
+    The one upper-bound rule: per row the shortest path that ``_certify``
+    accepts at unit norm is kept, over the optimized starts and, where
+    its floor (``_unit_floor``) is below them all, the straight segment
+    (``_straight_ladder``).  Returns (upper, residual, kept, floored) for
+    those rows: ``upper`` is the kept path's length, inf where none is
+    accepted, ``kept`` the kept paths as unit-duration control
+    displacements, (len(rows), k, d1), and ``floored`` the rows with a
+    start that the ``floor`` (one per row) stopped, whose bound is then
+    certified below the floor (``_Stop``).  A row's bound does not
+    depend on the other rows up to ``POLY_CONTROLS`` controls; above it
+    the block size of the prefix products on 3-layer groups follows the
+    batch (``BLOCK_ROWS``).
     """
     budget = starts.budget
     rows, inits = starts.chunks[chunk]
@@ -1424,15 +1427,17 @@ def _bound_rows(space: CCSpace, starts: _Starts, chunk, pick=slice(None),
     total, res = total.reshape(S, b), res.reshape(S, b)
     best = np.argmin(total, axis=0)
     cols = np.arange(b)
-    upper = total[best, cols] * scales
-    residual = res[best, cols]
+    upper, residual = total[best, cols], res[best, cols]
     kept = closed.reshape(S, b, -1, space.d1)[best, cols]
-    kept = scales[:, None, None] * kept
-    failed = ~np.isfinite(upper)
-    if np.any(failed):
-        upper[failed], residual[failed], straight = _straight_ladder(
-            space, starts.targets[rows[failed]], collect=True)
-        kept = _merged(kept, failed, straight)
+    gate = np.flatnonzero(_unit_floor(space, tg) < upper)
+    upper, kept = upper * scales, scales[:, None, None] * kept
+    if len(gate):
+        line, line_res, line_path = _straight_ladder(
+            space, starts.targets[rows[gate]], collect=True)
+        won = line < upper[gate]
+        if np.any(won):
+            upper[gate[won]], residual[gate[won]] = line[won], line_res[won]
+            kept = _merged(kept, gate[won], line_path[won])
     floored = (np.zeros(b, dtype=bool) if floor is None
                else stop.floored.reshape(S, b).any(axis=0))
     return upper, residual, kept, floored
@@ -1476,52 +1481,55 @@ def _merged(paths, rows, more):
 
 
 def _straight_ladder(space: CCSpace, points, collect=False):
-    """The straight segment to each point plus its ladder closure.
-
-    Returns (upper, residual, path): the path's length, inf where
-    ``_certify`` does not accept it, the closure's residual and, if
-    ``collect``, the path as (B, k, d1) unit-duration control
-    displacements.  As in the optimizer, every finite nonzero row is
-    certified at unit homogeneous norm, where its residual is reported,
-    and its length and path are dilated back.
+    """The straight segment to each point plus its ladder closure,
+    certified at unit homogeneous norm (``_certify``) as every candidate
+    path is.  Returns (upper, residual, path): the length dilated back,
+    inf where it is not accepted, the residual at unit norm and, if
+    ``collect``, the dilated path as (B, k, d1) unit-duration controls.
     """
-    scales = space.homogeneous_norm(points)
-    live = np.isfinite(scales) & (scales > 0)
-    unit = _dilated_to_unit(space, points, scales, live)
+    unit, dilation = _at_unit(space, points)
     u1 = unit[:, None, : space.d1]
     upper, res, path = _certify(space, u1, space.embed_horizontal(u1[:, 0]),
                                 unit, collect)
-    dilation = np.where(live, scales, 1.0)
     upper *= dilation
     if collect:
         path *= dilation[:, None, None]
     return upper, res, path
 
 
-def certified_upper_cheap(space: CCSpace, points):
-    """Vectorized certified upper bound: straight segment plus ladder loops."""
-    points = np.atleast_2d(space.algebra.vector(points))
-    return _straight_ladder(space, points)[0]
-
-
-def ladder_floor(space: CCSpace, points):
-    """Per point, a closed-form floor under ``certified_upper_cheap``.
-
-    At the unit homogeneous norm and with the dilation that the cheap
-    bound takes, the straight segment's length plus the layer-2 loops of
-    the closure's first pass (``LadderPlan.layer2_floor``), less
-    ``FLOOR_SLACK`` relative: every later move only adds length, so the
-    floor never exceeds the cheap bound's computed value.  It forms no
-    group product, so a point it puts above a radius skips the ladder.
-    """
+def _at_unit(space: CCSpace, points):
+    """``points`` dilated to unit homogeneous norm, and per row the
+    dilation back: its norm, or 1 on a zero or non-finite row."""
     points = np.atleast_2d(space.algebra.vector(points))
     scales = space.homogeneous_norm(points)
     live = np.isfinite(scales) & (scales > 0)
-    unit = _dilated_to_unit(space, points, scales, live)
+    return (_dilated_to_unit(space, points, scales, live),
+            np.where(live, scales, 1.0))
+
+
+def certified_upper_cheap(space: CCSpace, points):
+    """Vectorized certified upper bound: straight segment plus ladder loops."""
+    return _straight_ladder(space, points)[0]
+
+
+def _unit_floor(space: CCSpace, unit):
+    """Per row of ``unit``, at unit homogeneous norm or 0, a floor under
+    its straight segment's bound that forms no group product: the
+    segment's length plus the layer-2 loops of the closure's first pass
+    (``LadderPlan.layer2_floor``), less ``FLOOR_SLACK`` relative, since
+    every later move only adds length."""
     floor = space.metric.norm(unit[:, : space.d1])
     if space.algebra.num_layers > 1:
         floor = floor + space.ladder().layer2_floor(unit)
-    return floor * (1.0 - FLOOR_SLACK) * np.where(live, scales, 1.0)
+    return floor * (1.0 - FLOOR_SLACK)
+
+
+def ladder_floor(space: CCSpace, points):
+    """Per point, ``_unit_floor`` dilated back: a closed-form floor under
+    ``certified_upper_cheap``, so a point it puts above a radius skips
+    the ladder."""
+    unit, dilation = _at_unit(space, points)
+    return _unit_floor(space, unit) * dilation
 
 
 def cc_upper_batch(space: CCSpace, targets, budget=None, seed=0,
@@ -1529,12 +1537,11 @@ def cc_upper_batch(space: CCSpace, targets, budget=None, seed=0,
     """Certified upper bounds d_cc(e^0, target) for a batch of targets.
 
     Returns (upper, residual): ``upper`` is the exact length of a feasible
-    witness (optimized path plus exact ladder closure of the remaining
-    defect, or for a row with no feasible start the straight segment plus
-    its closure); ``residual`` the final coordinate mismatch at unit
-    homogeneous norm, where every row is bounded, ~1e-12.  Raises
-    OptimizerFailure only for rows where both are infeasible, and
-    InputError for a non-finite target.
+    witness, the shorter of the optimized path and the straight segment,
+    each plus the exact ladder closure of its defect (``_bound_rows``);
+    ``residual`` the final coordinate mismatch at unit homogeneous norm,
+    where every row is bounded, ~1e-12.  Raises OptimizerFailure only for
+    rows where both are infeasible, and InputError for a non-finite target.
 
     With a ``radius`` (positive, finite) each start of a row stops as
     soon as it has a path no longer than the radius, and the row keeps
@@ -1564,13 +1571,12 @@ def cc_upper_max(space: CCSpace, targets, budget=None, seed=0):
     """Per cell, the largest certified upper bound over the cell's targets.
 
     ``targets`` is (cells, k, n).  Returns (upper, floored): ``upper``
-    (cells,) is, per row, the smaller of ``cc_upper_batch`` on the
-    flattened batch and ``certified_upper_cheap``, reshaped to (cells, k)
-    and maximized over axis 1, with the same bits up to ``POLY_CONTROLS``
-    controls; above it the block size of the prefix products on 3-layer
-    groups follows the live rows (``BLOCK_ROWS``), which moves it by
-    roundoff.  ``floored`` (cells, k) marks the rows a floor stopped or
-    decided.  Raises OptimizerFailure where ``cc_upper_batch`` does, with
+    (cells,) is ``cc_upper_batch`` on the flattened batch, reshaped to
+    (cells, k) and maximized over axis 1, with the same bits up to
+    ``POLY_CONTROLS`` controls; above it the block size of the prefix
+    products on 3-layer groups follows the live rows (``BLOCK_ROWS``),
+    which moves it by roundoff.  ``floored`` (cells, k) marks the rows a
+    floor stopped or decided.  Raises OptimizerFailure where ``cc_upper_batch`` does, with
     the flattened batch's residuals (0 on a row the ladder decided).
 
     The maxima are found by branch and bound over the rows, from the
@@ -1612,12 +1618,10 @@ def cc_upper_max(space: CCSpace, targets, budget=None, seed=0):
 
     bound(lead)
     ladder = certified_upper_cheap(space, starts.targets)
-    upper = np.minimum(upper, ladder)
     floor = np.maximum(floor, np.max(upper.reshape(cells, k), axis=1))
     decided = ~lead & (ladder < np.repeat(floor, k) * (1.0 - CEILING_SLACK))
     upper[decided], floored[decided] = ladder[decided], True
     bound(~lead & ~decided)
-    upper = np.minimum(upper, ladder)
     _check_finite(upper, residual)
     return np.max(upper.reshape(cells, k), axis=1), floored.reshape(cells, k)
 
@@ -1694,9 +1698,9 @@ class DistanceEstimate:
 def estimate_distance(space: CCSpace, x, y, budget=None, ballbox=None, seed=0):
     """Two-sided certified estimate of d_cc(x, y).
 
-    The upper bound is the exact length of the witness: the shortest
-    optimized path from x to y with its ladder closure, or the straight
-    segment with its closure.  Raises OptimizerFailure, with the best
+    The upper bound is the exact length of the witness, the shorter of
+    the shortest optimized path from x to y and the straight segment,
+    each with its ladder closure.  Raises OptimizerFailure, with the best
     infeasible path attached, if neither meets the endpoint tolerance.
     The lower bound is ``lower_bounds_batch``'s, at most the upper one,
     and ``lower_method`` names its largest term: "abelianization",
@@ -1766,9 +1770,7 @@ def calibrate_ballbox(space: CCSpace, samples=1000, seed=0):
     raw = rng.standard_normal((samples, n))
     # include a pure horizontal direction so max_ratio >= 1 up to optimizer slack
     raw[0] = space.embed_horizontal(np.ones(space.d1))
-    hnorm = space.homogeneous_norm(raw)
-    weights = (1.0 / hnorm)[:, None] ** space.algebra.layer_of.astype(float)[None, :]
-    vs = raw * weights
+    vs = _at_unit(space, raw)[0]
     starts = _draw_starts(space, vs, OptimizerBudget(segments=12, starts=2),
                           int(rng.integers(2**32)))
     hnorm = starts.scales  # the homogeneous norms of vs

@@ -17,6 +17,8 @@ from carnot.algebra import (
 from carnot.errors import InputError, NotNilpotentError
 from carnot.group import BchTable
 
+from conftest import filiform_algebra
+
 
 def test_heisenberg_bracket():
     h = catalog.heisenberg()
@@ -43,15 +45,6 @@ def test_bracket_bilinear_batched(rng):
     assert np.allclose(lhs, rhs)
 
 
-def _filiform_chain(n):
-    # [X0, Xi] = X(i+1) for 1 <= i < n - 1: nilpotency degree n - 1
-    c = np.zeros((n, n, n))
-    for i in range(1, n - 1):
-        c[0, i, i + 1] = 1.0
-        c[i, 0, i + 1] = -1.0
-    return GradedAlgebra(f"filiform{n}", [2] + [1] * (n - 2), c)
-
-
 def _scaled_engel():
     # structure constants other than +-1 (scaling keeps Jacobi)
     e = catalog.engel()
@@ -61,8 +54,8 @@ def _scaled_engel():
 @pytest.mark.parametrize("maker", [
     catalog.heisenberg, catalog.engel, lambda: catalog.abelian(3),
     lambda: catalog.free_step2(3), lambda: catalog.free_step2(4),
-    lambda: _filiform_chain(5), lambda: _filiform_chain(6),
-    lambda: _filiform_chain(7), _scaled_engel,
+    lambda: filiform_algebra(5), lambda: filiform_algebra(6),
+    lambda: filiform_algebra(7), _scaled_engel,
 ], ids=["heisenberg", "engel", "abelian3", "free2-3", "free2-4",
         "filiform5", "filiform6", "filiform7", "engel-scaled"])
 def test_bracket_kernel_matches_dense_structure(maker, rng):

@@ -17,7 +17,8 @@ def test_layers_script_reports_every_case(tmp_path):
     assert done.returncode == 0, done.stderr
     doc = json.loads(done.stdout)
     assert [name.split("/")[0] for name in doc["cases"]] == [
-        "poly", "project", "cheap", "poly", "project", "cheap", "engel-call",
+        "poly", "project", "cheap", "close", "poly", "project", "cheap",
+        "close", "engel-call",
         "engel-4", "heis-membership-2", "engel-volume-200", "cheap", "warm",
         "warm", "call", "warm", "call", "lower", "lower", "derivate",
         "derivate", "spread", "derivate", "derivate", "volume", "volume",

@@ -18,6 +18,7 @@ from carnot.group import (
     inverse,
 )
 
+from conftest import filiform_algebra
 from oracles import UEAOracle
 
 
@@ -39,23 +40,14 @@ def test_engel_bch_exact():
                        atol=1e-14)
 
 
-def _filiform_chain(n):
-    # [X0, Xi] = X(i+1) for 1 <= i < n - 1: nilpotency degree n - 1
-    c = np.zeros((n, n, n))
-    for i in range(1, n - 1):
-        c[0, i, i + 1] = 1.0
-        c[i, 0, i + 1] = -1.0
-    return catalog.GradedAlgebra(f"filiform{n}", [2] + [1] * (n - 2), c)
-
-
 def filiform5():
     # degree 4: the integrand's t^2 term vanishes, so one node is exact
-    return _filiform_chain(5)
+    return filiform_algebra(5)
 
 
 def filiform6():
     # degree 5: the first case that needs two quadrature nodes
-    return _filiform_chain(6)
+    return filiform_algebra(6)
 
 
 @pytest.mark.parametrize("maker", [catalog.heisenberg, catalog.engel,
@@ -174,4 +166,4 @@ def test_unit_square_loop_is_exact_commutator():
 def test_degree_cap_rejected():
     # a filiform chain of length 7 exceeds the tabulated BCH order
     with pytest.raises(InputError):
-        CarnotGroup(_filiform_chain(8))
+        CarnotGroup(filiform_algebra(8))

@@ -40,6 +40,7 @@ from carnot.metric import (
 )
 from carnot.measure import MEMBERSHIP_BUDGET, enclosing_box_halfwidths
 
+from conftest import filiform_algebra
 from oracles import heisenberg_distance, min_loop_length
 
 FAST = OptimizerBudget(segments=8, starts=2, penalty_init=1e4,
@@ -692,15 +693,6 @@ def test_projection_rows_ignore_their_batch_mates(name):
             np.testing.assert_array_equal(got[b], want[0])
 
 
-def _filiform_space(n):
-    """The model filiform group of dimension n, [X1, Xi] = X(i+1)."""
-    c = np.zeros((n, n, n))
-    for i in range(1, n - 1):
-        c[0, i, i + 1], c[i, 0, i + 1] = 1.0, -1.0
-    return CCSpace(catalog.GradedAlgebra(f"filiform{n}", [2] + [1] * (n - 2),
-                                         c))
-
-
 def test_line_search_rows_ignore_their_batch_mates(monkeypatch):
     # on a group of step 4 every prefix product takes one step (q = 1), so
     # no row depends on its batch.  In the warm stage's first iteration
@@ -708,7 +700,7 @@ def test_line_search_rows_ignore_their_batch_mates(monkeypatch):
     # rows stop before the first line search, which both accepts and
     # halves, and the floor stops some rows but not all.  Every row, and
     # whether the floor stopped it, gets the bits it gets alone.
-    space = _filiform_space(5)
+    space = CCSpace(filiform_algebra(5))
     group, gram = space.group, space.metric.gram
     targets = np.random.default_rng(4).standard_normal((96, 5))
     starts = _draw_starts(space, targets, MEMBERSHIP_BUDGET, 5)
@@ -1019,14 +1011,6 @@ def test_cc_upper_max_keeps_the_batch_maxima(case):
     assert np.array_equal(got, want)
 
 
-def _filiform(n):
-    """The model filiform algebra of dimension n, [X1, Xi] = X(i+1)."""
-    c = np.zeros((n, n, n))
-    for i in range(1, n - 1):
-        c[0, i, i + 1], c[i, 0, i + 1] = 1.0, -1.0
-    return catalog.GradedAlgebra(f"filiform{n}", [2] + [1] * (n - 2), c)
-
-
 @pytest.mark.parametrize("case", ["heisenberg", "heisenberg-gram", "free2-3",
                                   "engel"])
 def test_cc_upper_max_keeps_the_smaller_bound_per_row(case, monkeypatch):
@@ -1055,19 +1039,42 @@ def test_cc_upper_max_keeps_the_smaller_bound_per_row(case, monkeypatch):
 
 def test_cc_upper_max_takes_the_ladder_where_it_is_shorter():
     # on the step-4 filiform group a single start can end far above the
-    # straight segment plus its closure: row 33 reads 684.15 against 43.29,
-    # so its cell's maximum is the other rows'
-    space = CCSpace(_filiform(5))
+    # straight segment plus its closure: row 33's reads 684.15 against
+    # 43.29, so the row keeps its straight segment, and its cell's maximum
+    # is the other rows'
+    space = CCSpace(filiform_algebra(5))
     targets = np.random.default_rng(4).standard_normal((96, 5))
     full, _ = cc_upper_batch(space, targets, budget=MEMBERSHIP_BUDGET, seed=5)
     cheap = certified_upper_cheap(space, targets)
-    assert full[33] == pytest.approx(684.15, abs=0.01)
-    assert cheap[33] == pytest.approx(43.29, abs=0.01)
+    assert full[33] == cheap[33] == pytest.approx(43.29, abs=0.01)
     got, _ = cc_upper_max(space, targets.reshape(8, 12, 5),
                           budget=MEMBERSHIP_BUDGET, seed=5)
-    want = np.minimum(full, cheap).reshape(8, 12).max(axis=1)
-    assert np.array_equal(got, want)
-    assert got[2] < 50 < full[24:36].max()
+    assert np.array_equal(got, full.reshape(8, 12).max(axis=1))
+    assert got[2] < 50
+
+
+@pytest.mark.parametrize("case", ["heisenberg", "free2-3", "engel",
+                                  "filiform5"])
+def test_upper_bound_never_above_the_straight_segment(case):
+    # every row keeps the shorter of its optimized and straight-segment
+    # bounds.  On filiform5 the optimized bound alone is above the straight
+    # one on rows 33 and 89 of the batch at MEMBERSHIP_BUDGET (15.8x and
+    # 1.02x) and on rows 26 and 89 at (12, 2, 30) (1.05x and 1.004x), and a
+    # one-target estimate on rows 26 and 89 at (12, 2, 30); the estimate
+    # re-sums its witness's length, which may move it by roundoff
+    space = (CCSpace(filiform_algebra(5)) if case == "filiform5"
+             else _space(case))
+    n = space.algebra.dim
+    targets = np.random.default_rng(4).standard_normal((96, n))
+    cheap = certified_upper_cheap(space, targets)
+    for budget in (MEMBERSHIP_BUDGET,
+                   OptimizerBudget(segments=12, starts=2, max_iter=30)):
+        upper, _ = cc_upper_batch(space, targets, budget=budget, seed=5)
+        assert np.all(upper <= cheap * (1 + 1e-15))
+        for row in (26, 33, 89):
+            est = estimate_distance(space, np.zeros(n), targets[row],
+                                    budget=budget, seed=5)
+            assert est.upper <= cheap[row] * (1 + 1e-15)
 
 
 @pytest.mark.parametrize("case", ["heisenberg", "heisenberg-gram", "engel",
@@ -1077,7 +1084,7 @@ def test_ladder_floor_stays_below_the_cheap_bound(case):
     # provably, roundoff included: on random points, on near-horizontal
     # ones (|x_2| near 1e-12 |x_1|^2, where a wrong roundoff bound shows
     # most, at the closure's tolerance), and at 1e-100 and 1e100
-    space = CCSpace(_filiform(5)) if case == "filiform5" else _space(case)
+    space = CCSpace(filiform_algebra(5)) if case == "filiform5" else _space(case)
     a = space.algebra
     rng = np.random.default_rng(6)
     points = rng.standard_normal((10000, a.dim))
@@ -1124,7 +1131,8 @@ def test_floored_rows_are_certified_below_the_floor(case):
 
 def test_cc_upper_max_fails_where_the_batch_fails(heis, monkeypatch, rng):
     # row 0, at unit scale already, gets no feasible start and no
-    # feasible straight segment
+    # feasible straight segment: ``_straight_ladder`` forms the straight
+    # candidate of every bound
     targets = rng.standard_normal((2, 3, 3))
     targets[0, 0] = [1.0, 0.0, 0.0]
     solve, straight = metric._optimize_controls, metric._straight_ladder
@@ -1290,6 +1298,40 @@ def test_infinite_coordinates_read_inf(name):
     assert np.all(np.isfinite(norms[3:-1][~layers]))
     assert np.all(np.isposinf(lower[3:-1])) and np.isnan(lower[-1])
     assert np.array_equal(norms[:3], alone)
+
+
+@pytest.mark.parametrize("gram", [np.eye(2), [[2.0, 0.3], [0.3, 1.0]]],
+                         ids=["standard", "anisotropic"])
+def test_metric_norm_reads_inf_on_an_infinite_coordinate(gram):
+    # u @ gram reads nan at inf * 0: the public norm, as layer_norms, reads
+    # inf on a row with an infinite coordinate and no nan and nan on a row
+    # with a nan, and the finite rows keep the bits of sqrt(<u, u>)
+    horizontal = HorizontalMetric(gram)
+    finite = np.random.default_rng(6).standard_normal((4, 2))
+    odd = np.array([[np.inf, 0.0], [0.0, -np.inf], [np.inf, np.inf],
+                    [np.nan, np.inf]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        norms = horizontal.norm(np.concatenate([finite, odd]))
+        one = horizontal.norm([np.inf, 0.0])
+    assert np.array_equal(norms[:4], np.sqrt(horizontal.inner(finite, finite)))
+    assert np.all(np.isposinf(norms[4:7])) and np.isnan(norms[7])
+    assert one == np.inf
+
+
+def test_unsquared_rescales_only_rows_whose_squares_lose_bits():
+    # an exact-zero row needs no rescale; a nonzero row whose squares
+    # underflow to 0 and one whose squares overflow do.  In one batch every
+    # row reads the bits it reads alone, and the bits it has read since
+    # the rescale came in
+    rows = np.array([[0.0, 0.0], [1e-200, 0.0], [3e200, 4e200], [3.0, 4.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = metric._unsquared(metric._euclid, rows)
+        alone = [metric._unsquared(metric._euclid, row[None])[0]
+                 for row in rows]
+    assert np.array_equal(batch, alone)
+    assert np.array_equal(batch, [0.0, 1e-200, 4.9999999999999995e200, 5.0])
 
 
 @pytest.mark.parametrize("name", ["heisenberg", "engel", "free2-3",
